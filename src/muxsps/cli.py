@@ -19,13 +19,13 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from . import __version__
-from .config import PRESETS, ConfigError, RunSpec, dump_config, flatten_config, parse_config, strategy_from_token
+from .config import PRESETS, ConfigError, RunSpec, dump_config, flatten_config, format_value, inclusive_range, parse_config, strategy_from_token
 from .engine import SourceConfig, output_distribution
 from .losses import MuxKind
-from .optimize import comparison_map, optimize_strategy, optimize_units
+from .optimize import comparison_map, optimize_strategy, optimize_units, run_tasks
 from .simulate import simulate
 from .statistics import PairDistribution
 
@@ -37,8 +37,6 @@ EXIT_CONSISTENCY = 4
 MC_SIGMA_LIMIT = 4.0
 MC_CHECK_I_MAX = 3
 
-_COMMANDS = ("evaluate", "optimize", "strategy-scan", "map", "table")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"muxsps {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command in _DISPATCH:
         p = sub.add_parser(command)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--config", metavar="PATH", help="configuration document to run")
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--grid-step",
                 type=float,
                 metavar="STEP",
-                help="re-grid both sweep axes between their configured ends with this step",
+                help="re-grid both sweep axes between their configured ends with this step (> 0)",
             )
     return parser
 
@@ -78,7 +76,7 @@ def _resolve_spec(args: argparse.Namespace) -> RunSpec:
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError("preset", f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
-        text = PRESETS[args.preset][1]
+        text = PRESETS[args.preset]
     elif args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -105,31 +103,19 @@ def _meta(spec: RunSpec) -> list[tuple[str, str]]:
     ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr, also for numpy scalars
-    return str(value)
-
-
-def _write_table(
-    stream: TextIO,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    meta: Iterable[tuple[str, str]],
-) -> None:
-    for key, value in meta:
-        stream.write(f"# {key}: {value}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _emit(spec: RunSpec, header, rows, meta) -> None:
+def _write(spec: RunSpec, text: str) -> None:
     if spec.out_path:
         with open(spec.out_path, "w", encoding="utf-8", newline="\n") as handle:
-            _write_table(handle, header, rows, meta)
+            handle.write(text)
     else:
-        _write_table(sys.stdout, header, rows, meta)
+        sys.stdout.write(text)
+
+
+def _emit(spec: RunSpec, header: Sequence[str], rows: Iterable[Sequence], meta: Iterable[tuple[str, str]]) -> None:
+    lines = [f"# {key}: {value}" for key, value in meta]
+    lines.append(",".join(header))
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    _write(spec, "\n".join(lines) + "\n")
 
 
 def _mc_check(cfg: SourceConfig, spec: RunSpec, meta: list[tuple[str, str]]) -> int:
@@ -199,7 +185,11 @@ def _cmd_strategy_scan(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _progress(label: str):
+def _progress(label: str, total: int):
+    """Progress reporter on stderr for runs of 100 cells or more."""
+    if total < 100:
+        return None
+
     def report(done: int, total: int) -> None:
         step = max(1, total // 50)
         if done % step == 0 or done == total:
@@ -224,7 +214,7 @@ def _cmd_map(spec: RunSpec) -> int:
         i_max=spec.i_max,
         resolution_cap=spec.detector.resolution_cap,
         workers=spec.workers,
-        progress=_progress("map") if len(grid_vd) * len(grid_vr) >= 100 else None,
+        progress=_progress("map", len(grid_vd) * len(grid_vr)),
     )
     rows = []
     for iv, vd in enumerate(result.axis_vd):
@@ -256,12 +246,6 @@ def _cmd_map(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _regrid(values: Sequence[float], step: float) -> tuple[float, ...]:
-    lo, hi = values[0], values[-1]
-    count = int(round((hi - lo) / step)) + 1
-    return tuple(round(lo + k * step, 12) for k in range(count))
-
-
 def _cmd_table(spec: RunSpec) -> int:
     sweep = spec.sweep
     if sweep.vr_values:
@@ -288,7 +272,7 @@ def _table_router_grid(spec: RunSpec) -> int:
     if spec.mux.kind is not MuxKind.SYMMETRIC_SPATIAL:
         raise ConfigError("sweep.vr_values", "router-transmission sweeps need kind=symmetric-spatial")
     tasks = [(spec, vd, vr) for vd in spec.sweep.vd_values for vr in spec.sweep.vr_values]
-    rows = _run_tasks(_router_cell, tasks, spec.workers, label="table")
+    rows = run_tasks(_router_cell, tasks, spec.workers, _progress("table", len(tasks)))
     _emit(spec, ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
     return EXIT_OK
 
@@ -315,11 +299,10 @@ def _scenario_cell(task: tuple) -> tuple:
         strategy=strategy,
         dist=PairDistribution(pair_kind, spec.source.mean),
     )
-    if units is not None:
-        cfg = replace(cfg, units=units)
-        result = optimize_units(cfg, (units,) if cfg.mux.kind is not MuxKind.TIME_LOOP_LATEST else None)
-    else:
+    if units is None:
         result = optimize_units(cfg, spec.n_candidates)
+    else:
+        result = optimize_units(replace(cfg, units=units), (units,))
     return (vd, pair_kind.value, label, result.n_opt, result.p1_max, result.lambda_opt)
 
 
@@ -338,24 +321,9 @@ def _table_scenarios(spec: RunSpec) -> int:
         for label, strategy in strategies
         for units in unit_counts
     ]
-    rows = _run_tasks(_scenario_cell, tasks, spec.workers, label="table")
+    rows = run_tasks(_scenario_cell, tasks, spec.workers, _progress("table", len(tasks)))
     _emit(spec, ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
     return EXIT_OK
-
-
-def _run_tasks(fn: Callable, tasks: list, workers: int | None, label: str) -> list:
-    if workers and workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        report = _progress(label) if len(tasks) >= 100 else None
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 4))):
-                rows.append(row)
-                if report:
-                    report(len(rows), len(tasks))
-        return rows
-    return [fn(task) for task in tasks]
 
 
 _DISPATCH = {
@@ -367,11 +335,25 @@ _DISPATCH = {
 }
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one resolved run: emit its files and return the exit status."""
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        if spec.command not in _DISPATCH:
-            raise ConfigError("command", f"must be one of {', '.join(_DISPATCH)}, got {spec.command!r}")
+        spec = _resolve_spec(args)
+        step = getattr(args, "grid_step", None)
+        if step is not None and spec.sweep.vd_values and spec.sweep.vr_values:
+            # re-gridded axes must also show up in the provenance comments
+            sweep = spec.sweep
+            spec = replace(
+                spec,
+                sweep=replace(
+                    sweep,
+                    vd_values=inclusive_range("--grid-step", sweep.vd_values[0], sweep.vd_values[-1], step),
+                    vr_values=inclusive_range("--grid-step", sweep.vr_values[0], sweep.vr_values[-1], step),
+                ),
+            )
+        if args.dump_config:
+            _write(spec, dump_config(spec))
+            return EXIT_OK
         return _DISPATCH[spec.command](spec)
     except ConfigError as exc:
         print(f"muxsps: config error: {exc}", file=sys.stderr)
@@ -379,38 +361,6 @@ def run(spec: RunSpec) -> int:
     except OSError as exc:
         print(f"muxsps: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        spec = _resolve_spec(args)
-        if getattr(args, "grid_step", None) and spec.sweep.vd_values and spec.sweep.vr_values:
-            # re-gridded axes must also show up in the provenance comments
-            sweep = spec.sweep
-            spec = replace(
-                spec,
-                sweep=replace(
-                    sweep,
-                    vd_values=_regrid(sweep.vd_values, args.grid_step),
-                    vr_values=_regrid(sweep.vr_values, args.grid_step),
-                ),
-            )
-        if args.dump_config:
-            text = dump_config(spec)
-            if spec.out_path:
-                with open(spec.out_path, "w", encoding="utf-8", newline="\n") as handle:
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-    except ConfigError as exc:
-        print(f"muxsps: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"muxsps: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return run(spec)
 
 
 if __name__ == "__main__":

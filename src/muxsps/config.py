@@ -124,19 +124,22 @@ def _parse_int(section: str, key: str, raw: str, lo: int | None = None) -> int:
     return value
 
 
+def inclusive_range(field_path: str, start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ..., stop, rounded to 12 decimals."""
+    if not 0.0 < step < math.inf:
+        raise ConfigError(field_path, f"step must be a finite number > 0, got {step}")
+    if stop < start:
+        raise ConfigError(field_path, f"range end {stop} is below its start {start}")
+    count = int(round((stop - start) / step)) + 1
+    return tuple(round(start + k * step, 12) for k in range(count))
+
+
 def _parse_float_values(section: str, key: str, raw: str) -> tuple[float, ...]:
     """Comma list of numbers, or an inclusive range start:stop:step."""
     raw = raw.strip()
     if raw.count(":") == 2:
-        start_s, stop_s, step_s = raw.split(":")
-        start = _parse_float(section, key, start_s)
-        stop = _parse_float(section, key, stop_s)
-        step = _parse_float(section, key, step_s)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{section}.{key}", f"bad range {raw!r}")
-        count = int(round((stop - start) / step)) + 1
-        values = tuple(round(start + k * step, 12) for k in range(count))
-        return values
+        start, stop, step = (_parse_float(section, key, part) for part in raw.split(":"))
+        return inclusive_range(f"{section}.{key}", start, stop, step)
     values = tuple(_parse_float(section, key, part) for part in raw.split(",") if part.strip())
     if not values:
         raise ConfigError(f"{section}.{key}", "empty value list")
@@ -278,18 +281,15 @@ def parse_config(text: str, **run_context) -> RunSpec:
         raise ConfigError("optimizer.j_max", f"exceeds detector.resolution_cap={detector.resolution_cap}")
 
     sweep_kwargs: dict = {}
-    raw = get("sweep", "vd_values")
-    if raw is not None:
-        sweep_kwargs["vd_values"] = _parse_float_values("sweep", "vd_values", raw)
-    raw = get("sweep", "vr_values")
-    if raw is not None:
-        sweep_kwargs["vr_values"] = _parse_float_values("sweep", "vr_values", raw)
-    raw = get("sweep", "n_values")
-    if raw is not None:
-        sweep_kwargs["n_values"] = _parse_int_values("sweep", "n_values", raw)
-    raw = get("sweep", "lambda_values")
-    if raw is not None:
-        sweep_kwargs["lambda_values"] = _parse_float_values("sweep", "lambda_values", raw)
+    for key, parse in (
+        ("vd_values", _parse_float_values),
+        ("vr_values", _parse_float_values),
+        ("n_values", _parse_int_values),
+        ("lambda_values", _parse_float_values),
+    ):
+        raw = get("sweep", key)
+        if raw is not None:
+            sweep_kwargs[key] = parse("sweep", key, raw)
     raw = get("sweep", "strategies")
     if raw is not None:
         tokens = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
@@ -331,21 +331,20 @@ def parse_config(text: str, **run_context) -> RunSpec:
     return spec
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Text form of an emitted number: plain-float repr, also for numpy scalars."""
     if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, PairKind) or isinstance(value, MuxKind):
-        return value.value
+        return repr(float(value))
     return str(value)
 
 
 def dump_config(spec: RunSpec) -> str:
     """Canonical document form of a RunSpec; re-parses to an identical spec."""
     lines: list[str] = []
-    lines += ["[source]", f"kind = {spec.source.kind.value}", f"mean = {_fmt(spec.source.mean)}", ""]
+    lines += ["[source]", f"kind = {spec.source.kind.value}", f"mean = {format_value(spec.source.mean)}", ""]
     lines += [
         "[detector]",
-        f"efficiency = {_fmt(spec.detector.efficiency)}",
+        f"efficiency = {format_value(spec.detector.efficiency)}",
         f"resolution_cap = {spec.detector.resolution_cap}",
         "",
     ]
@@ -354,24 +353,19 @@ def dump_config(spec: RunSpec) -> str:
     lines.append(f"kind = {spec.mux.kind.value}")
     lines.append(f"units = {spec.units}")
     for name, value in spec.mux.param_items():
-        lines.append(f"{name} = {_fmt(value)}")
+        lines.append(f"{name} = {format_value(value)}")
     lines.append("")
     lines.append("[optimizer]")
-    lines.append(f"tail_tol = {_fmt(spec.tail_tol)}")
+    lines.append(f"tail_tol = {format_value(spec.tail_tol)}")
     lines.append(f"i_max = {spec.i_max}")
     if spec.n_candidates is not None:
         lines.append("n_candidates = " + ",".join(str(n) for n in spec.n_candidates))
     lines.append(f"j_max = {spec.j_max}")
     sweep_lines = []
     sweep = spec.sweep
-    if sweep.vd_values:
-        sweep_lines.append("vd_values = " + ",".join(_fmt(v) for v in sweep.vd_values))
-    if sweep.vr_values:
-        sweep_lines.append("vr_values = " + ",".join(_fmt(v) for v in sweep.vr_values))
-    if sweep.n_values:
-        sweep_lines.append("n_values = " + ",".join(str(n) for n in sweep.n_values))
-    if sweep.lambda_values:
-        sweep_lines.append("lambda_values = " + ",".join(_fmt(v) for v in sweep.lambda_values))
+    for key in ("vd_values", "vr_values", "n_values", "lambda_values"):
+        if getattr(sweep, key):
+            sweep_lines.append(f"{key} = " + ",".join(format_value(v) for v in getattr(sweep, key)))
     if sweep.strategies:
         sweep_lines.append("strategies = " + ",".join(sweep.strategies))
     if sweep.pair_kinds:
@@ -397,12 +391,10 @@ def flatten_config(spec: RunSpec) -> str:
     return " ".join(flat)
 
 
-# Shipped scenario presets.  Each maps to (default command, document text).
-PRESETS: dict[str, tuple[str, str]] = {
+# Shipped scenario presets: name -> document text.
+PRESETS: dict[str, str] = {
     # symmetric spatial tree, exactly-one-photon heralding, no generic loss
-    "ssm-spd": (
-        "table",
-        """\
+    "ssm-spd": """\
 [source]
 kind = poissonian
 mean = 0.534
@@ -427,11 +419,8 @@ n_candidates = pow2:1024
 vd_values = 0.3,0.6,0.8,0.9,0.98
 vr_values = 0.3,0.4,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.88,0.9,0.92,0.94,0.95,0.96,0.97,0.98,0.99
 """,
-    ),
     # the same tree operated with threshold heralding
-    "ssm-threshold": (
-        "table",
-        """\
+    "ssm-threshold": """\
 [source]
 kind = poissonian
 mean = 0.246
@@ -456,12 +445,9 @@ n_candidates = pow2:1024
 vd_values = 0.3,0.6,0.8,0.9,0.98
 vr_values = 0.3,0.4,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.88,0.9,0.92,0.94,0.95,0.96,0.97,0.98,0.99
 """,
-    ),
     # storage loop releasing the latest heralded slot; reference optima for
     # this scenario assume the period-end slot leaves without a loop pass
-    "loop-latest": (
-        "table",
-        """\
+    "loop-latest": """\
 [source]
 kind = poissonian
 mean = 0.706
@@ -485,12 +471,9 @@ vd_values = 0.6,0.8,0.85,0.9,0.95,0.96,0.97,0.98
 n_values = 40,100
 strategies = threshold,spd
 """,
-    ),
     # the same loop with a thermal pair source and one loop pass for the
     # period-end slot
-    "loop-latest-thermal": (
-        "table",
-        """\
+    "loop-latest-thermal": """\
 [source]
 kind = thermal
 mean = 0.237
@@ -515,11 +498,8 @@ n_values = 40,100
 strategies = spd
 pair_kinds = thermal
 """,
-    ),
     # binary bulk time multiplexer with switched power-of-two delay lines
-    "btm": (
-        "table",
-        """\
+    "btm": """\
 [source]
 kind = poissonian
 mean = 0.6
@@ -546,11 +526,8 @@ n_candidates = pow2:1024
 vd_values = 0.6,0.8,0.85,0.9,0.95,0.96,0.97,0.98
 strategies = threshold,spd
 """,
-    ),
     # single-photon probability versus pump mean, one curve per unit count
-    "ssm-curves": (
-        "table",
-        """\
+    "ssm-curves": """\
 [source]
 kind = poissonian
 mean = 0.45
@@ -572,11 +549,8 @@ router_transmission = 0.98
 n_values = 1,2,4,8,16,32
 lambda_values = 0.02:2.0:0.02
 """,
-    ),
     # heralding-mode comparison maps over the detector/router loss plane
-    "ssm-maps": (
-        "map",
-        """\
+    "ssm-maps": """\
 [source]
 kind = poissonian
 mean = 0.5
@@ -602,5 +576,4 @@ j_max = 6
 vd_values = 0.3:1.0:0.01
 vr_values = 0.3:1.0:0.01
 """,
-    ),
 }

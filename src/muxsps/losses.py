@@ -166,7 +166,8 @@ class MultiplexerModel:
         return items
 
 
-def _validate_unit_count(model: MultiplexerModel, units: int) -> None:
+def validate_unit_count(model: MultiplexerModel, units: int) -> None:
+    """Raise ValueError unless ``units`` is a valid unit count for ``model``."""
     if units < 1:
         raise ValueError(f"unit count must be >= 1, got {units}")
     if model.requires_power_of_two and not is_power_of_two(units):
@@ -175,7 +176,7 @@ def _validate_unit_count(model: MultiplexerModel, units: int) -> None:
 
 def unit_transmission(model: MultiplexerModel, n: int, units: int) -> float:
     """Total transmission from unit n to the output of an ``units``-unit network."""
-    _validate_unit_count(model, units)
+    validate_unit_count(model, units)
     if not 1 <= n <= units:
         raise ValueError(f"need 1 <= n <= units, got n={n}, units={units}")
     base = model.generic_transmission

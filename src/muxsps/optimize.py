@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -158,12 +159,11 @@ def optimize_units(
     """Scan unit counts, maximizing over pump strength at each one.
 
     Ties in the single-photon probability break toward the smaller unit
-    count (less hardware).
+    count (less hardware).  The release-latest loop keeps its configured
+    unit count whatever the candidates (see ``default_unit_candidates``).
     """
-    if cfg_template.mux.kind is MuxKind.TIME_LOOP_LATEST:
-        candidates: Sequence[int] = (cfg_template.units,)
-    elif n_candidates is None:
-        candidates = default_unit_candidates(cfg_template.mux, cfg_template.units)
+    if n_candidates is None or cfg_template.mux.kind is MuxKind.TIME_LOOP_LATEST:
+        candidates: Sequence[int] = default_unit_candidates(cfg_template.mux, cfg_template.units)
     else:
         candidates = sorted(set(int(n) for n in n_candidates))
         if not candidates:
@@ -216,35 +216,53 @@ def optimize_strategy(
     return StrategyScanResult(j_opt=best_j, results_by_j=tuple(results))
 
 
-def _default_mux(router_transmission: float) -> MultiplexerModel:
-    return MultiplexerModel.symmetric_spatial(router_transmission)
+def run_tasks(
+    fn: Callable,
+    tasks: Sequence,
+    workers: int | None = None,
+    progress: Callable[[int, int], None] | None = None,
+) -> list:
+    """``[fn(task) for task in tasks]``, in worker processes when workers > 1.
+
+    Results keep the task order, so they do not depend on the worker count;
+    ``fn`` and the tasks must pickle.  ``progress(done, total)`` is called
+    after each finished task.
+    """
+    results: list = []
+    with ExitStack() as stack:
+        outputs: Iterable = map(fn, tasks)
+        if workers is not None and workers > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            outputs = pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        for output in outputs:
+            results.append(output)
+            if progress is not None:
+                progress(len(results), len(tasks))
+    return results
 
 
-def _map_cell(args: tuple) -> tuple:
-    (iv, ir, vd, vr, j_max, candidates, tail_tol, i_max, resolution_cap, make_mux) = args
-    mux = (make_mux or _default_mux)(vr)
+def _map_cell(
+    cell: tuple[float, float],
+    *,
+    j_max: int,
+    candidates: tuple[int, ...] | None,
+    tail_tol: float,
+    i_max: int,
+    resolution_cap: int,
+    make_mux: Callable[[float], MultiplexerModel],
+) -> tuple[OptimizationResult, StrategyScanResult]:
+    """Threshold optimum and cutoff scan at one (V_D, V_r) cell."""
+    vd, vr = cell
     template = SourceConfig(
         dist=PairDistribution(PairKind.POISSONIAN, 0.5),
         detector=DetectorModel(vd, resolution_cap),
-        strategy=HeraldingStrategy.single_photon(),
-        mux=mux,
+        strategy=HeraldingStrategy.threshold(),
+        mux=make_mux(vr),
         units=1,
         tail_tol=tail_tol,
         i_max=i_max,
     )
-    spd = optimize_units(template, candidates)
-    threshold = optimize_units(replace(template, strategy=HeraldingStrategy.threshold()), candidates)
-    best_j, best_p1, best_lam = 1, spd.p1_max, spd.lambda_opt
-    for j in range(2, j_max + 1):
-        scan = optimize_units(replace(template, strategy=HeraldingStrategy.up_to(j)), candidates)
-        if scan.p1_max > best_p1:
-            best_j, best_p1, best_lam = j, scan.p1_max, scan.lambda_opt
-    return (
-        iv, ir,
-        spd.p1_max, spd.n_opt, spd.lambda_opt,
-        threshold.p1_max, threshold.n_opt, threshold.lambda_opt,
-        best_j, best_p1,
-    )
+    return optimize_units(template, candidates), optimize_strategy(template, j_max, candidates)
 
 
 def comparison_map(
@@ -265,7 +283,7 @@ def comparison_map(
     ``make_mux`` builds the multiplexer from the second-axis value (the
     default is a symmetric spatial tree with that router transmission; a
     custom callable must be module-level when workers > 1 so it pickles).
-    Cells are independent; results are merged by index, so the map is
+    Cells are independent and come back in grid order, so the map is
     identical for any worker count.
     """
     axis_vd = np.asarray(list(grid_vd), dtype=float)
@@ -274,62 +292,41 @@ def comparison_map(
         raise ValueError("grids must be non-empty")
     if np.any((axis_vd < 0) | (axis_vd > 1)) or np.any((axis_vr < 0) | (axis_vr > 1)):
         raise ValueError("grid values must be within [0, 1]")
-    candidates = tuple(n_candidates) if n_candidates is not None else None
-    tasks = [
-        (iv, ir, float(vd), float(vr), j_max, candidates, tail_tol, i_max, resolution_cap, make_mux)
-        for iv, vd in enumerate(axis_vd)
-        for ir, vr in enumerate(axis_vr)
-    ]
+    cell_fn = partial(
+        _map_cell,
+        j_max=j_max,
+        candidates=tuple(n_candidates) if n_candidates is not None else None,
+        tail_tol=tail_tol,
+        i_max=i_max,
+        resolution_cap=resolution_cap,
+        make_mux=make_mux or MultiplexerModel.symmetric_spatial,
+    )
+    cells = [(float(vd), float(vr)) for vd in axis_vd for vr in axis_vr]
+    results = run_tasks(cell_fn, cells, workers, progress)
 
-    shape = (axis_vd.size, axis_vr.size)
-    p1_spd = np.zeros(shape)
-    p1_threshold = np.zeros(shape)
-    p1_jopt = np.zeros(shape)
-    n_spd = np.zeros(shape, dtype=int)
-    n_threshold = np.zeros(shape, dtype=int)
-    lam_spd = np.zeros(shape)
-    lam_threshold = np.zeros(shape)
-    j_opt = np.zeros(shape, dtype=int)
+    def grid(values: Iterable, dtype: type = float) -> np.ndarray:
+        return np.array(list(values), dtype=dtype).reshape(axis_vd.size, axis_vr.size)
 
-    def _store(cell: tuple) -> None:
-        iv, ir, ps, ns, ls, pt, nt, lt, bj, pj = cell
-        p1_spd[iv, ir] = ps
-        n_spd[iv, ir] = ns
-        lam_spd[iv, ir] = ls
-        p1_threshold[iv, ir] = pt
-        n_threshold[iv, ir] = nt
-        lam_threshold[iv, ir] = lt
-        j_opt[iv, ir] = bj
-        p1_jopt[iv, ir] = pj
-
-    done = 0
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell in pool.map(_map_cell, tasks, chunksize=max(1, len(tasks) // (workers * 8))):
-                _store(cell)
-                done += 1
-                if progress is not None:
-                    progress(done, len(tasks))
-    else:
-        for task in tasks:
-            _store(_map_cell(task))
-            done += 1
-            if progress is not None:
-                progress(done, len(tasks))
-
-    delta_m = np.rint(np.log2(n_threshold) - np.log2(n_spd)).astype(int)
+    threshold = [t for t, _ in results]
+    # the scan's j=1 entry is exactly-one-photon heralding
+    spd = [scan.results_by_j[0][1] for _, scan in results]
+    p1_spd = grid(r.p1_max for r in spd)
+    p1_threshold = grid(r.p1_max for r in threshold)
+    p1_jopt = grid(scan.best().p1_max for _, scan in results)
+    n_spd = grid((r.n_opt for r in spd), int)
+    n_threshold = grid((r.n_opt for r in threshold), int)
     return ComparisonMap(
         axis_vd=axis_vd,
         axis_vr=axis_vr,
         delta_p=p1_spd - p1_threshold,
-        delta_m=delta_m,
+        delta_m=np.rint(np.log2(n_threshold) - np.log2(n_spd)).astype(int),
         delta_p_jopt=p1_jopt - np.maximum(p1_spd, p1_threshold),
-        j_opt=j_opt,
+        j_opt=grid((scan.j_opt for _, scan in results), int),
         p1_spd=p1_spd,
         p1_threshold=p1_threshold,
         p1_jopt=p1_jopt,
         n_opt_spd=n_spd,
         n_opt_threshold=n_threshold,
-        lambda_opt_spd=lam_spd,
-        lambda_opt_threshold=lam_threshold,
+        lambda_opt_spd=grid(r.lambda_opt for r in spd),
+        lambda_opt_threshold=grid(r.lambda_opt for r in threshold),
     )

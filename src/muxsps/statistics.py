@@ -162,20 +162,26 @@ def pmf_array(dist: PairDistribution, l_max: int) -> np.ndarray:
 
 
 def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest count L with cumulative pair probability >= 1 - tail_tol."""
+    """Pair-count cutoff L with ``pmf_array(dist, L).sum() >= 1 - tail_tol``.
+
+    The series stops once the exact tail is below 0.99 * tail_tol: when
+    the exact tail only just meets tail_tol, the rounded float sum can
+    fall an ulp or so short of 1 - tail_tol.
+    """
     if tail_tol <= 0.0:
         raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     mean = dist.mean
     if mean == 0.0:
         return 0
-    target = min(1.0 - tail_tol, 1.0 - 1e-15)
+    tol = 0.99 * tail_tol
     if dist.kind is PairKind.THERMAL:
         ratio = mean / (1.0 + mean)
-        length = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
-        while ratio ** (length + 1) > tail_tol:
+        length = max(0, math.ceil(math.log(tol) / math.log(ratio)) - 1)
+        while ratio ** (length + 1) > tol:
             length += 1
         return length
     # Poissonian: accumulate with the stable term recurrence
+    target = min(1.0 - tol, 1.0 - 1e-15)
     hard_cap = int(mean + 40.0 * math.sqrt(mean) + 64.0)
     term = math.exp(-mean)
     total = term

@@ -46,9 +46,9 @@ class TestConfigDocument:
         assert again == spec
 
     def test_presets_round_trip(self):
-        for name, (command, text) in PRESETS.items():
-            spec = parse_config(text, command=command)
-            assert parse_config(dump_config(spec), command=command) == spec, name
+        for name, text in PRESETS.items():
+            spec = parse_config(text, command="table")
+            assert parse_config(dump_config(spec), command="table") == spec, name
 
     def test_unknown_key_rejected(self):
         bad = MINIMAL.replace("efficiency = 0.95", "efficiency = 0.95\ndark_rate = 1")
@@ -279,6 +279,15 @@ class TestMapCommand:
         assert status == 0
         rows = [line for line in out.splitlines() if not line.startswith(("#", "V_D,"))]
         assert len(rows) == 4  # 2x2 regridded axes
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_non_positive_grid_step_is_config_error(self, step, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "\n[sweep]\nvd_values = 0.9,0.98\nvr_values = 0.9,0.98\n")
+        for extra in ([], ["--dump-config"]):
+            status, out, err = run_cli(["map", "--config", path, "--grid-step", step, *extra], capsys)
+            assert status == 2
+            assert "--grid-step" in err
+            assert out == ""
 
 
 def test_module_entry_point():

@@ -135,6 +135,20 @@ class TestClosedForms:
         cfg = constant_loss_config(0.5, 0.8, 0.9, 1, HeraldingStrategy.single_photon())
         assert output_distribution(cfg)[1] == pytest.approx(p1_spd_closed_form(cfg), abs=1e-11)
 
+    @pytest.mark.parametrize("units", [512, 1024])
+    @pytest.mark.parametrize(
+        "mux",
+        [MultiplexerModel.symmetric_spatial(0.98), MultiplexerModel.binary_bulk_time(0.97, 0.996, 0.95)],
+        ids=["tree", "binary-delay"],
+    )
+    def test_engine_matches_threshold_form_at_large_unit_counts(self, mux, units):
+        # miss = exp(-4.75), so the priority weights underflow long before
+        # the last unit
+        cfg = SourceConfig(
+            PairDistribution(PairKind.POISSONIAN, 5.0), DetectorModel(0.95), HeraldingStrategy.threshold(), mux, units
+        )
+        assert output_distribution(cfg)[1] == pytest.approx(p1_threshold_closed_form(cfg), abs=1e-11)
+
     def test_wrong_strategy_rejected(self):
         cfg = constant_loss_config(0.5, 0.8, 0.9, 2, HeraldingStrategy.single_photon())
         with pytest.raises(ValueError):
