@@ -2,8 +2,8 @@
 """Generate the heralding-mode comparison maps over the loss-parameter plane.
 
 The full 0.01-step map (71 x 71 cells, each with a full unit-count and
-cutoff scan) takes on the order of an hour on all cores; the default step
-of 0.05 finishes in a few minutes and is enough to see the structure.
+cutoff scan) took 114 s with --workers 2 (206 s with one) on a 2-vCPU VM;
+the default step of 0.05 takes about 6 s and is enough to see the structure.
 
 Usage:
     python scripts/make_maps.py [--step 0.05] [--out out/maps.csv] [--workers K]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,6 +35,7 @@ from .statistics import (
 )
 
 DEFAULT_I_MAX = 8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -77,29 +79,33 @@ class OutputDistribution:
         return self.probabilities[i]
 
 
-def _no_herald_weights(miss: float, units: int) -> np.ndarray:
-    """miss**(n-1) for n = 1..units, underflow-safe at large unit counts.
+def _no_herald_weights(miss, units: int) -> np.ndarray:
+    """miss**(n-1) for n = 1..units, on a new last axis of ``miss``.
 
     Log space rather than ``miss ** arange``: numpy's power is several
-    times slower than ``exp`` once its results underflow.
+    times slower than ``exp`` once its results underflow.  A miss of 0
+    gives 1, ~1e-308, then zeros: only unit 1 can herald.
     """
-    if miss <= 0.0:
-        out = np.zeros(units)
-        out[0] = 1.0
-        return out
-    return np.exp(np.arange(units) * math.log(miss))
+    return np.exp(np.multiply.outer(np.log(np.maximum(miss, _TINY)), np.arange(units)))
+
+
+def _survivor_polynomial(transmissions: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """[u, l-1] = l * v_u * (1 - v_u)**(l-1): one of l photons survives v_u."""
+    v = transmissions[:, None]
+    return v * ls[1:] * (1.0 - v) ** (ls[1:] - 1)
 
 
 def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     """Exact output photon-number distribution of the configured source.
 
-    The pair-number series is truncated once the remaining tail mass of
-    the pair distribution falls below ``cfg.tail_tol``; everything else is
-    evaluated in full.  Units sharing the same transmission are grouped so
-    the cost scales with the number of distinct per-unit transmissions,
-    not with the unit count itself.
+    The pair-number series stops once the pair distribution's remaining
+    tail mass is below ``cfg.tail_tol / cfg.units``, since the priority
+    sum over units amplifies the truncated herald mass by up to about the
+    unit count; everything else is evaluated in full.  Units sharing one
+    transmission are grouped, so the cost scales with the number of
+    distinct per-unit transmissions, not with the unit count itself.
     """
-    l_max = truncation_length(cfg.dist, cfg.tail_tol)
+    l_max = truncation_length(cfg.dist, cfg.tail_tol / cfg.units)
     pair = pmf_array(cfg.dist, l_max)
     weights = herald_weights(cfg.strategy, cfg.detector, l_max)
     mass = weights * pair  # joint weight of (l pairs, herald fires)
@@ -127,43 +133,52 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     return OutputDistribution(tuple(float(p) for p in probs), deficit)
 
 
-def p1_profile(cfg: SourceConfig, means: np.ndarray) -> np.ndarray:
-    """Single-photon output probability over a grid of pump means.
+def p1_profile(cfg: SourceConfig, means: np.ndarray, units: Sequence[int] | None = None) -> np.ndarray:
+    """Single-photon output probability for every unit-count lane and pump mean.
 
-    Vectorized companion of ``output_distribution`` built from the same
-    series components, sharing one truncation point (taken at the largest
-    mean) across the whole grid.  Means must be positive.
+    ``units`` lists the lanes (default ``cfg.units`` alone).  ``means`` is a
+    1-d grid shared by every lane or a 2-d array with one row per lane; the
+    result is a (lanes, means) array.  The series of ``output_distribution``
+    is factored so no lanes x means x pairs array is built: the pair pmf per
+    mean, the herald weights once, the single-survivor polynomial per lane,
+    and the priority sum in closed geometric form for a lane whose units all
+    share one transmission.  One truncation point, taken at the largest
+    mean and unit count, serves the whole call.  Means must be positive.
     """
+    lanes = np.asarray((cfg.units,) if units is None else units, dtype=int)
     means = np.asarray(means, dtype=float)
-    if means.ndim != 1 or means.size == 0 or np.any(means <= 0.0):
-        raise ValueError("means must be a non-empty 1-d array of positive values")
-    probe = PairDistribution(cfg.dist.kind, float(means.max()))
-    l_max = max(1, truncation_length(probe, cfg.tail_tol))
+    per_lane = means.ndim == 2
+    if means.ndim not in (1, 2) or means.size == 0 or np.any(means <= 0.0) or per_lane and len(means) != len(lanes):
+        raise ValueError("means must be a non-empty 1-d array, or one row per lane, of positive values")
+    flat = means.reshape(-1, 1)
+    probe = PairDistribution(cfg.dist.kind, float(flat.max()))
+    l_max = max(1, truncation_length(probe, cfg.tail_tol / lanes.max()))
     ls = np.arange(l_max + 1)
 
     if cfg.dist.kind is PairKind.POISSONIAN:
-        pair = np.exp(ls[None, :] * np.log(means[:, None]) - means[:, None] - gammaln(ls + 1.0)[None, :])
+        pair = np.exp(ls * np.log(flat) - flat - gammaln(ls + 1.0))
     else:
-        ratio = means / (1.0 + means)
-        pair = np.exp(ls[None, :] * np.log(ratio[:, None])) / (1.0 + means[:, None])
-    mass = pair * herald_weights(cfg.strategy, cfg.detector, l_max)[None, :]
-    p_herald = mass.sum(axis=1)
-    miss = np.clip(1.0 - p_herald, 0.0, 1.0)
+        pair = np.exp(ls * np.log(flat / (1.0 + flat))) / (1.0 + flat)
+    mass = pair * herald_weights(cfg.strategy, cfg.detector, l_max)
+    mass = mass.reshape(-1, means.shape[-1], l_max + 1)  # (1 or lanes, means per lane, pairs)
+    p_herald = mass.sum(axis=-1)
 
-    transmissions = unit_transmissions(cfg.mux, cfg.units)
-    distinct, inverse = np.unique(transmissions, return_inverse=True)
-    # single-survivor kernel: l * v * (1-v)^(l-1) for l = 1..l_max
-    lost = (1.0 - distinct)[:, None] ** (ls[None, 1:] - 1)
-    kernel = distinct[:, None] * ls[None, 1:] * lost
-    per_unit = mass[:, 1:] @ kernel.T  # (means, distinct transmissions)
-
-    log_miss = np.log(np.where(miss > 0.0, miss, 1.0))
-    priority = np.exp(np.arange(cfg.units)[None, :] * log_miss[:, None])
-    never = miss <= 0.0
-    if never.any():
-        priority[never] = 0.0
-        priority[never, 0] = 1.0
-    return np.einsum("kn,kn->k", priority, per_unit[:, inverse])
+    transmissions = [unit_transmissions(cfg.mux, n) for n in lanes.tolist()]
+    joined, starts = np.concatenate(transmissions), np.cumsum(lanes) - lanes
+    uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
+    out = np.empty((lanes.size, means.shape[-1]))
+    same = np.flatnonzero(uniform)
+    rows = same if per_lane else [0]
+    poly = _survivor_polynomial(joined[starts[same]], ls)[:, :, None]
+    # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
+    # keeps it finite at p = 0 (limit: units) and at p = 1
+    p = np.clip(p_herald[rows], _TINY, np.nextafter(1.0, 0.0))
+    out[same] = (mass[rows, :, 1:] @ poly)[..., 0] * (-np.expm1(lanes[same, None] * np.log1p(-p)) / p)
+    for i in np.flatnonzero(~uniform):
+        row = i if per_lane else 0
+        per_unit = mass[row, :, 1:] @ _survivor_polynomial(transmissions[i], ls).T  # (means, units)
+        out[i] = np.einsum("kn,kn->k", _no_herald_weights(1.0 - p_herald[row], lanes[i]), per_unit)
+    return out
 
 
 def _require_poissonian(cfg: SourceConfig, wanted: str) -> None:
@@ -206,7 +221,7 @@ def p1_spd_closed_form(cfg: SourceConfig) -> float:
     eff = cfg.detector.efficiency
     vn = unit_transmissions(cfg.mux, cfg.units)
     miss = 1.0 - eff * lam * math.exp(-eff * lam)
-    priority = _no_herald_weights(miss, cfg.units)
+    priority = np.exp(np.arange(cfg.units) * math.log(miss))
     # per-pair probability that the idler evades detection and the signal
     # is then lost in the multiplexer; the bracket resums its Poisson tail
     residual = (1.0 - eff) * (1.0 - vn)

@@ -3,9 +3,11 @@
 For a fixed loss configuration the free design knobs are the pump strength
 (mean pair number per pulse), the number of multiplexed units, and — when
 the detectors resolve photon number — the accepted-count set.  The search
-is exhaustive over unit counts and accepted-set sizes, with a coarse
-grid-then-golden-section refinement in the pump strength, so no
-unimodality assumption is load-bearing.
+is exhaustive over unit counts and accepted-set sizes.  In the pump
+strength, every unit count of a scan is one lane of the batched kernel
+``p1_profile``: a coarse grid brackets each lane's peak and golden-section
+refinement then runs in lockstep over all lanes, so no unimodality
+assumption is load-bearing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,54 +91,46 @@ class ComparisonMap:
     lambda_opt_threshold: np.ndarray
 
 
-@lru_cache(maxsize=4)
-def _coarse_grid(lo: float = LAMBDA_MIN, hi: float = LAMBDA_MAX, points: int = COARSE_POINTS) -> np.ndarray:
+@cache
+def _coarse_grid() -> np.ndarray:
     # hybrid grid: log spacing resolves optima near zero pump, linear
     # spacing covers the strongly pumped regime
-    half = points // 2
-    grid = np.unique(np.concatenate([np.geomspace(lo, hi, half), np.linspace(lo, hi, points - half)]))
+    lo, hi, half = LAMBDA_MIN, LAMBDA_MAX, COARSE_POINTS // 2
+    grid = np.unique(np.concatenate([np.geomspace(lo, hi, half), np.linspace(lo, hi, COARSE_POINTS - half)]))
     grid.setflags(write=False)
     return grid
 
 
-def _p1_at(cfg: SourceConfig, mean: float) -> float:
-    return output_distribution(replace(cfg, dist=replace(cfg.dist, mean=mean)))[1]
+def maximize_over_lambda(cfg_template: SourceConfig, units: Sequence[int]) -> tuple[CurvePoint, ...]:
+    """Best pump mean and single-photon probability at each unit count.
 
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
-def maximize_over_lambda(cfg_template: SourceConfig, units: int) -> tuple[float, float]:
-    """Best pump mean and single-photon probability at a fixed unit count.
-
-    A vectorized coarse scan brackets the peak; golden-section refinement
-    and the returned probability use the one canonical engine path.
+    Each unit count is one lane of ``p1_profile``.  A coarse grid scan
+    brackets every lane's peak, then golden-section refinement runs in
+    lockstep over the lanes, each stopping once its bracket is narrower
+    than ``LAMBDA_TOL``.  A lane returns its bracket midpoint, or its best
+    grid point if that is higher (the bracket can be degenerate).
     """
-    cfg = replace(cfg_template, units=units)
-    grid = _coarse_grid()
-    values = p1_profile(cfg, grid)
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    lam, p1 = _golden_max(lambda m: _p1_at(cfg, m), lo, hi, LAMBDA_TOL)
-    coarse_lam, coarse_p1 = float(grid[k]), _p1_at(cfg, float(grid[k]))
-    if coarse_p1 > p1:  # grid point can win if the bracket was degenerate
-        lam, p1 = coarse_lam, coarse_p1
-    return float(lam), float(p1)
+    lanes, grid = np.asarray(units, dtype=int), _coarse_grid()
+    k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
+    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = p1_profile(cfg_template, np.stack([c, d], axis=1), lanes).T.copy()
+    live = np.flatnonzero(hi - lo > LAMBDA_TOL)
+    while live.size:
+        left = fc[live] > fd[live]
+        a, b = live[left], live[~left]  # lanes keeping their left / right part
+        hi[a], d[a], fd[a] = d[a], c[a], fc[a]
+        c[a] = hi[a] - _INV_PHI * (hi[a] - lo[a])
+        lo[b], c[b], fc[b] = c[b], d[b], fd[b]
+        d[b] = lo[b] + _INV_PHI * (hi[b] - lo[b])
+        f = p1_profile(cfg_template, np.where(left, c[live], d[live])[:, None], lanes[live])[:, 0]
+        fc[a], fd[b] = f[left], f[~left]
+        live = live[hi[live] - lo[live] > LAMBDA_TOL]
+    mid = 0.5 * (lo + hi)
+    p1_mid, p1_grid = p1_profile(cfg_template, np.stack([mid, grid[k]], axis=1), lanes).T
+    grid_wins = p1_grid > p1_mid
+    lam, p1 = np.where(grid_wins, grid[k], mid), np.where(grid_wins, p1_grid, p1_mid)
+    return tuple(CurvePoint(int(n), float(x), float(y)) for n, x, y in zip(lanes, lam, p1))
 
 
 def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...]:
@@ -168,14 +162,8 @@ def optimize_units(
         candidates = sorted(set(int(n) for n in n_candidates))
         if not candidates:
             raise ValueError("n_candidates must be non-empty")
-    curve = []
-    best: CurvePoint | None = None
-    for units in candidates:
-        lam, p1 = maximize_over_lambda(cfg_template, units)
-        point = CurvePoint(units=units, lambda_opt=lam, p1=p1)
-        curve.append(point)
-        if best is None or point.p1 > best.p1:
-            best = point
+    curve = maximize_over_lambda(cfg_template, candidates)
+    best = max(curve, key=lambda point: point.p1)  # the first maximum: fewest units
     at_best = replace(
         cfg_template,
         units=best.units,
@@ -187,7 +175,7 @@ def optimize_units(
         p1_max=best.p1,
         strategy_used=cfg_template.strategy,
         output_at_optimum=output_distribution(at_best),
-        per_n_curve=tuple(curve),
+        per_n_curve=curve,
     )
 
 
@@ -205,15 +193,12 @@ def optimize_strategy(
             f"j_max must be within [1, resolution_cap={cfg_template.detector.resolution_cap}], got {j_max}"
         )
     candidates = tuple(n_candidates) if n_candidates is not None else None
-    results = []
-    best_j, best_p1 = None, -1.0
-    for j in range(1, j_max + 1):
-        cfg = replace(cfg_template, strategy=HeraldingStrategy.up_to(j))
-        result = optimize_units(cfg, candidates)
-        results.append((j, result))
-        if best_j is None or result.p1_max > best_p1:
-            best_j, best_p1 = j, result.p1_max
-    return StrategyScanResult(j_opt=best_j, results_by_j=tuple(results))
+    results = tuple(
+        (j, optimize_units(replace(cfg_template, strategy=HeraldingStrategy.up_to(j)), candidates))
+        for j in range(1, j_max + 1)
+    )
+    best_j, _ = max(results, key=lambda item: item[1].p1_max)  # the first maximum: smallest cutoff
+    return StrategyScanResult(j_opt=best_j, results_by_j=results)
 
 
 def run_tasks(

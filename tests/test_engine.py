@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -149,6 +149,26 @@ class TestClosedForms:
         )
         assert output_distribution(cfg)[1] == pytest.approx(p1_threshold_closed_form(cfg), abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "strategy, closed_form",
+        [
+            (HeraldingStrategy.threshold(), p1_threshold_closed_form),
+            (HeraldingStrategy.single_photon(), p1_spd_closed_form),
+        ],
+        ids=["threshold", "spd"],
+    )
+    def test_engine_matches_closed_forms_when_weakly_pumped_at_1024_units(self, strategy, closed_form):
+        # a herald probability near 1/units: the priority sum amplifies the
+        # truncated herald mass by about the unit count
+        cfg = SourceConfig(
+            PairDistribution(PairKind.POISSONIAN, 0.00185),
+            DetectorModel(0.9),
+            strategy,
+            MultiplexerModel.symmetric_spatial(1.0),
+            1024,
+        )
+        assert output_distribution(cfg)[1] == pytest.approx(closed_form(cfg), abs=1e-11)
+
     def test_wrong_strategy_rejected(self):
         cfg = constant_loss_config(0.5, 0.8, 0.9, 2, HeraldingStrategy.single_photon())
         with pytest.raises(ValueError):
@@ -260,13 +280,30 @@ class TestInvariants:
         assert out[0] == 0.25
 
     @given(cfg=random_configs())
+    @example(
+        # at 1024 units the priority sum amplified output_distribution's
+        # truncated herald mass to a 5.1e-12 error in P_1 at mean 0.02
+        cfg=SourceConfig(
+            PairDistribution(PairKind.POISSONIAN, 1.0),
+            DetectorModel(0.5),
+            HeraldingStrategy(accepted=frozenset({2})),
+            MultiplexerModel.symmetric_spatial(0.75),
+            1024,
+        )
+    )
     @settings(max_examples=40, deadline=None)
     def test_profile_matches_pointwise_evaluation(self, cfg):
-        means = np.array([0.02, 0.3, 1.1, 4.7])
-        profile = p1_profile(cfg, means)
-        for mean, value in zip(means, profile):
-            want = output_distribution(replace(cfg, dist=replace(cfg.dist, mean=float(mean))))[1]
-            assert value == pytest.approx(want, abs=5 * cfg.tail_tol)
+        # lanes mix one-unit, uniform-tree and many-transmission unit counts
+        lanes = sorted({1, 4 if cfg.mux.requires_power_of_two else 3, cfg.units})
+        shared = np.array([0.02, 0.3, 1.1, 4.7])
+        per_lane = np.outer(np.linspace(0.6, 1.0, len(lanes)), shared)
+        for means in (shared, per_lane):
+            profile = p1_profile(cfg, means, lanes)
+            assert profile.shape == (len(lanes), shared.size)
+            for units, lane_means, values in zip(lanes, np.broadcast_to(means, profile.shape), profile):
+                for mean, value in zip(lane_means, values):
+                    at = replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean)))
+                    assert value == pytest.approx(output_distribution(at)[1], abs=5 * cfg.tail_tol)
 
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
