@@ -14,7 +14,6 @@ from .losses import (
     MultiplexerModel,
     MuxKind,
     hamming_weight,
-    transmit_conditional,
     unit_transmission,
     unit_transmissions,
 )
@@ -36,10 +35,6 @@ from .statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
-    detect_conditional,
-    detect_total,
-    herald_probability,
-    pair_pmf,
 )
 
 __all__ = [
@@ -60,19 +55,14 @@ __all__ = [
     "SourceConfig",
     "StrategyScanResult",
     "comparison_map",
-    "detect_conditional",
-    "detect_total",
     "hamming_weight",
-    "herald_probability",
     "maximize_over_lambda",
     "optimize_strategy",
     "optimize_units",
     "output_distribution",
     "p1_spd_closed_form",
     "p1_threshold_closed_form",
-    "pair_pmf",
     "simulate",
-    "transmit_conditional",
     "unit_transmission",
     "unit_transmissions",
 ]

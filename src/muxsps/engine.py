@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .losses import MultiplexerModel, unit_transmissions, validate_unit_count
 from .statistics import (
@@ -30,12 +29,14 @@ from .statistics import (
     PairKind,
     binomial_coefficients,
     herald_weights,
+    log_factorials,
     pmf_array,
     truncation_length,
 )
 
 DEFAULT_I_MAX = 8
 _TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,51 +134,135 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     return OutputDistribution(tuple(float(p) for p in probs), deficit)
 
 
-def p1_profile(cfg: SourceConfig, means: np.ndarray, units: Sequence[int] | None = None) -> np.ndarray:
-    """Single-photon output probability for every unit-count lane and pump mean.
+@dataclass(frozen=True, eq=False)
+class ProfileLanes:
+    """Per-search constants of ``p1_profile``: a lane is a (strategy, unit count) pair.
 
-    ``units`` lists the lanes (default ``cfg.units`` alone).  ``means`` is a
-    1-d grid shared by every lane or a 2-d array with one row per lane; the
-    result is a (lanes, means) array.  The series of ``output_distribution``
-    is factored so no lanes x means x pairs array is built: the pair pmf per
-    mean, the herald weights once, the single-survivor polynomial per lane,
-    and the priority sum in closed geometric form for a lane whose units all
-    share one transmission.  One truncation point, taken at the largest
-    mean and unit count, serves the whole call.  Means must be positive.
+    ``weights`` has one herald-weight row per distinct strategy, long enough
+    for every mean up to ``max_mean``, and ``row`` picks a lane's row.
+    ``joined`` concatenates the unit transmissions of every distinct unit
+    count, ``offsets`` holds each lane's start in it, and ``uniform`` marks
+    lanes whose units all share one transmission.
     """
-    lanes = np.asarray((cfg.units,) if units is None else units, dtype=int)
+
+    units: np.ndarray
+    row: np.ndarray
+    offsets: np.ndarray
+    uniform: np.ndarray
+    weights: np.ndarray
+    joined: np.ndarray
+    max_mean: float
+
+    def take(self, index: np.ndarray) -> ProfileLanes:
+        """The lanes at ``index``, sharing weights and transmissions."""
+        per_lane = (self.units[index], self.row[index], self.offsets[index], self.uniform[index])
+        return ProfileLanes(*per_lane, self.weights, self.joined, self.max_mean)
+
+
+def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
+    """Pair-count cutoff of a profile: one truncation at its largest mean and unit count."""
+    return max(1, truncation_length(PairDistribution(cfg.dist.kind, max_mean), cfg.tail_tol / max_units))
+
+
+def profile_lanes(
+    cfg: SourceConfig,
+    units: Sequence[int],
+    strategies: Sequence[HeraldingStrategy] | None = None,
+    *,
+    max_mean: float,
+) -> ProfileLanes:
+    """Lanes of ``p1_profile`` calls with means up to ``max_mean``, one per unit count.
+
+    ``strategies`` gives each lane's heralding strategy (default
+    ``cfg.strategy`` for every lane).  The herald weights are computed once
+    here, at the truncation point of ``max_mean`` and the largest unit
+    count, which bounds the tail of every smaller mean and unit count too.
+    """
+    units = np.asarray(units, dtype=int)
+    strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
+    if units.ndim != 1 or units.size == 0 or len(strategies) != units.size:
+        raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy per lane")
+    distinct = tuple(dict.fromkeys(strategies))
+    for strategy in distinct:
+        strategy.validate_for(cfg.detector)
+    l_max = _series_length(cfg, max_mean, int(units.max()))
+    counts, which = np.unique(units, return_inverse=True)
+    joined = np.concatenate([unit_transmissions(cfg.mux, n) for n in counts.tolist()])
+    starts = np.cumsum(counts) - counts
+    uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
+    weights = np.stack([herald_weights(s, cfg.detector, l_max) for s in distinct])
+    row = np.array([distinct.index(s) for s in strategies])
+    return ProfileLanes(units, row, starts[which], uniform[which], weights, joined, float(max_mean))
+
+
+def p1_profile(
+    cfg: SourceConfig, means: np.ndarray, lanes: ProfileLanes | Sequence[int] | None = None
+) -> np.ndarray:
+    """Single-photon output probability for every lane and pump mean.
+
+    A lane is a (heralding strategy, unit count) pair: ``lanes`` is a
+    ``ProfileLanes`` from ``profile_lanes``, or unit counts that all use
+    ``cfg.strategy`` (default ``cfg.units`` alone).  ``means`` is a 1-d grid
+    shared by every lane or a 2-d array with one row per lane; the result
+    is a (lanes, means) array.  The series of ``output_distribution`` is
+    factored so no lanes x means x pairs array is built: the pair pmf per
+    mean, one herald-weight row per strategy, the single-survivor
+    polynomial per lane (per unit count for lanes with many
+    transmissions), and the priority sum in closed geometric form for a
+    lane whose units all share one transmission.  One truncation point,
+    taken at the largest mean and unit count, serves the whole call.
+    Means must be positive.
+    """
     means = np.asarray(means, dtype=float)
-    per_lane = means.ndim == 2
-    if means.ndim not in (1, 2) or means.size == 0 or np.any(means <= 0.0) or per_lane and len(means) != len(lanes):
+    if means.ndim not in (1, 2) or means.size == 0 or np.any(means <= 0.0):
         raise ValueError("means must be a non-empty 1-d array, or one row per lane, of positive values")
-    flat = means.reshape(-1, 1)
-    probe = PairDistribution(cfg.dist.kind, float(flat.max()))
-    l_max = max(1, truncation_length(probe, cfg.tail_tol / lanes.max()))
+    if not isinstance(lanes, ProfileLanes):
+        lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=float(means.max()))
+    per_lane = means.ndim == 2
+    if per_lane and len(means) != lanes.units.size:
+        raise ValueError("a 2-d means array needs one row per lane")
+    if means.max() > lanes.max_mean:
+        raise ValueError(f"means reach {means.max()}, beyond the lanes' max_mean {lanes.max_mean}")
+    # the lanes' own cutoff already bounds the tail, so a rounding-level
+    # overshoot of the recurrence near max_mean cannot outgrow the weights
+    l_max = min(_series_length(cfg, float(means.max()), int(lanes.units.max())), lanes.weights.shape[1] - 1)
     ls = np.arange(l_max + 1)
 
+    flat = means.reshape(-1, 1)
     if cfg.dist.kind is PairKind.POISSONIAN:
-        pair = np.exp(ls * np.log(flat) - flat - gammaln(ls + 1.0))
+        pair = np.exp(ls * np.log(flat) - flat - log_factorials(l_max))
     else:
         pair = np.exp(ls * np.log(flat / (1.0 + flat))) / (1.0 + flat)
-    mass = pair * herald_weights(cfg.strategy, cfg.detector, l_max)
-    mass = mass.reshape(-1, means.shape[-1], l_max + 1)  # (1 or lanes, means per lane, pairs)
-    p_herald = mass.sum(axis=-1)
+    weights = lanes.weights[:, : l_max + 1]  # equal to weights computed at l_max
+    if per_lane:  # one mass row per lane, with its own means
+        mass = pair.reshape(lanes.units.size, -1, l_max + 1) * weights[lanes.row][:, None, :]
+        source = np.arange(lanes.units.size)
+    else:  # one mass row per strategy, over the shared means
+        mass = pair[None] * weights[:, None, :]
+        source = lanes.row
+    p_herald = mass.sum(axis=-1)  # (mass rows, means)
 
-    transmissions = [unit_transmissions(cfg.mux, n) for n in lanes.tolist()]
-    joined, starts = np.concatenate(transmissions), np.cumsum(lanes) - lanes
-    uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
-    out = np.empty((lanes.size, means.shape[-1]))
-    same = np.flatnonzero(uniform)
-    rows = same if per_lane else [0]
-    poly = _survivor_polynomial(joined[starts[same]], ls)[:, :, None]
+    out = np.empty((lanes.units.size, means.shape[-1]))
+    same = np.flatnonzero(lanes.uniform)
+    poly = _survivor_polynomial(lanes.joined[lanes.offsets[same]], ls)[:, :, None]
+    if per_lane:
+        single = (mass[same, :, 1:] @ poly)[..., 0]
+    else:
+        single = np.empty((same.size, means.shape[-1]))
+        for r in sorted(set(source[same].tolist())):
+            pick = source[same] == r
+            single[pick] = (mass[r, :, 1:] @ poly[pick])[..., 0]
     # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
     # keeps it finite at p = 0 (limit: units) and at p = 1
-    p = np.clip(p_herald[rows], _TINY, np.nextafter(1.0, 0.0))
-    out[same] = (mass[rows, :, 1:] @ poly)[..., 0] * (-np.expm1(lanes[same, None] * np.log1p(-p)) / p)
-    for i in np.flatnonzero(~uniform):
-        row = i if per_lane else 0
-        per_unit = mass[row, :, 1:] @ _survivor_polynomial(transmissions[i], ls).T  # (means, units)
-        out[i] = np.einsum("kn,kn->k", _no_herald_weights(1.0 - p_herald[row], lanes[i]), per_unit)
+    p = np.minimum(np.maximum(p_herald[source[same]], _TINY), _BELOW_ONE)
+    out[same] = single * (-np.expm1(lanes.units[same, None] * np.log1p(-p)) / p)
+    mixed = ~lanes.uniform
+    for n in sorted(set(lanes.units[mixed].tolist())):
+        group = np.flatnonzero(mixed & (lanes.units == n))
+        start = lanes.offsets[group[0]]
+        per_unit = mass[source[group], :, 1:] @ _survivor_polynomial(lanes.joined[start : start + n], ls).T
+        priority = _no_herald_weights(1.0 - p_herald[source[group]], n)
+        out[group] = np.einsum("gkn,gkn->gk", priority, per_unit)  # (lanes, means, units) summed over units
     return out
 
 

@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statistics import binomial_pmf
-
 
 class MuxKind(str, Enum):
     SYMMETRIC_SPATIAL = "symmetric-spatial"
@@ -208,11 +206,3 @@ def unit_transmissions(model: MultiplexerModel, units: int) -> np.ndarray:
     values.setflags(write=False)
     return values
 
-
-def transmit_conditional(i: int, l: int, survival: float) -> float:
-    """Probability that i of l photons survive a channel of given transmission."""
-    if i < 0 or l < 0 or i > l:
-        raise ValueError(f"need 0 <= i <= l, got i={i}, l={l}")
-    if not (0.0 <= survival <= 1.0):
-        raise ValueError(f"survival must be within [0, 1], got {survival}")
-    return binomial_pmf(i, l, survival)

@@ -3,11 +3,12 @@
 For a fixed loss configuration the free design knobs are the pump strength
 (mean pair number per pulse), the number of multiplexed units, and — when
 the detectors resolve photon number — the accepted-count set.  The search
-is exhaustive over unit counts and accepted-set sizes.  In the pump
-strength, every unit count of a scan is one lane of the batched kernel
-``p1_profile``: a coarse grid brackets each lane's peak and golden-section
-refinement then runs in lockstep over all lanes, so no unimodality
-assumption is load-bearing.
+is exhaustive over unit counts and accepted-set cutoffs.  In the pump
+strength, every (heralding strategy, unit count) pair of a scan is one
+lane of the batched kernel ``p1_profile``: a coarse grid brackets each
+lane's peak and golden-section refinement then runs in lockstep over all
+lanes, so no unimodality assumption is load-bearing.  A cutoff scan is one
+such search over every (cutoff, unit count) lane.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import OutputDistribution, SourceConfig, output_distribution, p1_profile
+from .engine import OutputDistribution, SourceConfig, output_distribution, p1_profile, profile_lanes
 from .losses import MultiplexerModel, MuxKind
 from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind
 
@@ -101,16 +102,24 @@ def _coarse_grid() -> np.ndarray:
     return grid
 
 
-def maximize_over_lambda(cfg_template: SourceConfig, units: Sequence[int]) -> tuple[CurvePoint, ...]:
-    """Best pump mean and single-photon probability at each unit count.
+def maximize_over_lambda(
+    cfg_template: SourceConfig,
+    units: Sequence[int],
+    strategies: Sequence[HeraldingStrategy] | None = None,
+) -> tuple[CurvePoint, ...]:
+    """Best pump mean and single-photon probability at each lane.
 
-    Each unit count is one lane of ``p1_profile``.  A coarse grid scan
-    brackets every lane's peak, then golden-section refinement runs in
-    lockstep over the lanes, each stopping once its bracket is narrower
-    than ``LAMBDA_TOL``.  A lane returns its bracket midpoint, or its best
-    grid point if that is higher (the bracket can be degenerate).
+    Lane i is unit count ``units[i]`` heralded with ``strategies[i]``
+    (default ``cfg_template.strategy`` for every lane), one lane of
+    ``p1_profile``; the herald weights and transmissions are computed once
+    for the whole search.  A coarse grid scan brackets every lane's peak,
+    then golden-section refinement runs in lockstep over the lanes, each
+    stopping once its bracket is narrower than ``LAMBDA_TOL``.  A lane
+    returns its bracket midpoint, or its best grid point if that is higher
+    (the bracket can be degenerate).
     """
-    lanes, grid = np.asarray(units, dtype=int), _coarse_grid()
+    grid = _coarse_grid()
+    lanes = profile_lanes(cfg_template, units, strategies, max_mean=float(grid[-1]))
     k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
@@ -123,14 +132,14 @@ def maximize_over_lambda(cfg_template: SourceConfig, units: Sequence[int]) -> tu
         c[a] = hi[a] - _INV_PHI * (hi[a] - lo[a])
         lo[b], c[b], fc[b] = c[b], d[b], fd[b]
         d[b] = lo[b] + _INV_PHI * (hi[b] - lo[b])
-        f = p1_profile(cfg_template, np.where(left, c[live], d[live])[:, None], lanes[live])[:, 0]
+        f = p1_profile(cfg_template, np.where(left, c[live], d[live])[:, None], lanes.take(live))[:, 0]
         fc[a], fd[b] = f[left], f[~left]
         live = live[hi[live] - lo[live] > LAMBDA_TOL]
     mid = 0.5 * (lo + hi)
     p1_mid, p1_grid = p1_profile(cfg_template, np.stack([mid, grid[k]], axis=1), lanes).T
     grid_wins = p1_grid > p1_mid
     lam, p1 = np.where(grid_wins, grid[k], mid), np.where(grid_wins, p1_grid, p1_mid)
-    return tuple(CurvePoint(int(n), float(x), float(y)) for n, x, y in zip(lanes, lam, p1))
+    return tuple(CurvePoint(int(n), float(x), float(y)) for n, x, y in zip(lanes.units, lam, p1))
 
 
 def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...]:
@@ -146,6 +155,22 @@ def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...
     return tuple(range(1, DEFAULT_CHAIN_CAP + 1))
 
 
+def _unit_candidates(cfg_template: SourceConfig, n_candidates: Iterable[int] | None) -> tuple[int, ...]:
+    if n_candidates is None or cfg_template.mux.kind is MuxKind.TIME_LOOP_LATEST:
+        return default_unit_candidates(cfg_template.mux, cfg_template.units)
+    candidates = tuple(sorted(set(int(n) for n in n_candidates)))
+    if not candidates:
+        raise ValueError("n_candidates must be non-empty")
+    return candidates
+
+
+def _best_on_curve(cfg_template: SourceConfig, curve: tuple[CurvePoint, ...]) -> OptimizationResult:
+    best = max(curve, key=lambda point: point.p1)  # the first maximum: fewest units
+    at_best = replace(cfg_template, units=best.units, dist=replace(cfg_template.dist, mean=best.lambda_opt))
+    output = output_distribution(at_best)
+    return OptimizationResult(best.units, best.lambda_opt, best.p1, cfg_template.strategy, output, curve)
+
+
 def optimize_units(
     cfg_template: SourceConfig,
     n_candidates: Iterable[int] | None = None,
@@ -156,27 +181,8 @@ def optimize_units(
     count (less hardware).  The release-latest loop keeps its configured
     unit count whatever the candidates (see ``default_unit_candidates``).
     """
-    if n_candidates is None or cfg_template.mux.kind is MuxKind.TIME_LOOP_LATEST:
-        candidates: Sequence[int] = default_unit_candidates(cfg_template.mux, cfg_template.units)
-    else:
-        candidates = sorted(set(int(n) for n in n_candidates))
-        if not candidates:
-            raise ValueError("n_candidates must be non-empty")
-    curve = maximize_over_lambda(cfg_template, candidates)
-    best = max(curve, key=lambda point: point.p1)  # the first maximum: fewest units
-    at_best = replace(
-        cfg_template,
-        units=best.units,
-        dist=replace(cfg_template.dist, mean=best.lambda_opt),
-    )
-    return OptimizationResult(
-        n_opt=best.units,
-        lambda_opt=best.lambda_opt,
-        p1_max=best.p1,
-        strategy_used=cfg_template.strategy,
-        output_at_optimum=output_distribution(at_best),
-        per_n_curve=curve,
-    )
+    candidates = _unit_candidates(cfg_template, n_candidates)
+    return _best_on_curve(cfg_template, maximize_over_lambda(cfg_template, candidates))
 
 
 def optimize_strategy(
@@ -186,16 +192,24 @@ def optimize_strategy(
 ) -> StrategyScanResult:
     """Scan accepted-count cutoffs 1..j_max, optimizing units and pump for each.
 
-    Ties break toward the smaller cutoff.
+    One lockstep pump-mean search covers every (cutoff, unit count) lane;
+    each cutoff's result is then what ``optimize_units`` gives for it.
+    Ties break toward the smaller cutoff, and within a cutoff toward the
+    smaller unit count.
     """
     if not 1 <= j_max <= cfg_template.detector.resolution_cap:
         raise ValueError(
             f"j_max must be within [1, resolution_cap={cfg_template.detector.resolution_cap}], got {j_max}"
         )
-    candidates = tuple(n_candidates) if n_candidates is not None else None
+    candidates = _unit_candidates(cfg_template, n_candidates)
+    cutoffs = [HeraldingStrategy.up_to(j) for j in range(1, j_max + 1)]
+    curve = maximize_over_lambda(
+        cfg_template, candidates * j_max, [strategy for strategy in cutoffs for _ in candidates]
+    )
+    size = len(candidates)
     results = tuple(
-        (j, optimize_units(replace(cfg_template, strategy=HeraldingStrategy.up_to(j)), candidates))
-        for j in range(1, j_max + 1)
+        (j, _best_on_curve(replace(cfg_template, strategy=strategy), curve[(j - 1) * size : j * size]))
+        for j, strategy in enumerate(cutoffs, start=1)
     )
     best_j, _ = max(results, key=lambda item: item[1].p1_max)  # the first maximum: smallest cutoff
     return StrategyScanResult(j_opt=best_j, results_by_j=results)

@@ -18,14 +18,9 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_RESOLUTION_CAP = 10
-
-# largest count for which binomial terms use exact integer coefficients;
-# beyond it evaluation switches to log space to stay overflow-free
-_EXACT_BINOMIAL_MAX = 30
 
 
 class PairKind(str, Enum):
@@ -50,9 +45,6 @@ class PairDistribution:
             object.__setattr__(self, "kind", PairKind(self.kind))
         if not (math.isfinite(self.mean) and self.mean >= 0.0):
             raise ValueError(f"mean must be a finite non-negative real, got {self.mean}")
-
-    def pmf(self, count: int) -> float:
-        return pair_pmf(self, count)
 
 
 @dataclass(frozen=True)
@@ -131,17 +123,12 @@ class HeraldingStrategy:
             )
 
 
-def pair_pmf(dist: PairDistribution, count: int) -> float:
-    """Probability that ``count`` photon pairs are generated in one pulse."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    mean = dist.mean
-    if mean == 0.0:
-        return 1.0 if count == 0 else 0.0
-    if dist.kind is PairKind.POISSONIAN:
-        return math.exp(count * math.log(mean) - mean - math.lgamma(count + 1))
-    # thermal: geometric in the pair count
-    return math.exp(count * math.log(mean / (1.0 + mean)) - math.log1p(mean))
+@lru_cache(maxsize=512)
+def log_factorials(k_max: int) -> np.ndarray:
+    """Read-only table of log(k!) for k = 0..k_max."""
+    table = np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def pmf_array(dist: PairDistribution, l_max: int) -> np.ndarray:
@@ -155,7 +142,7 @@ def pmf_array(dist: PairDistribution, l_max: int) -> np.ndarray:
         return out
     ls = np.arange(l_max + 1)
     if dist.kind is PairKind.POISSONIAN:
-        out = np.exp(ls * math.log(mean) - mean - gammaln(ls + 1.0))
+        out = np.exp(ls * math.log(mean) - mean - log_factorials(l_max))
     else:
         out = np.exp(ls * math.log(mean / (1.0 + mean)) - math.log1p(mean))
     return out
@@ -195,42 +182,6 @@ def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL
     return length
 
 
-def binomial_pmf(successes: int, trials: int, p: float) -> float:
-    """P(exactly ``successes`` of ``trials`` independent events, each of prob p)."""
-    if not (0 <= successes <= trials):
-        raise ValueError(f"need 0 <= successes <= trials, got {successes} of {trials}")
-    if p <= 0.0:
-        return 1.0 if successes == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if successes == trials else 0.0
-    if trials <= _EXACT_BINOMIAL_MAX:
-        return math.comb(trials, successes) * p**successes * (1.0 - p) ** (trials - successes)
-    log_pmf = (
-        math.lgamma(trials + 1)
-        - math.lgamma(successes + 1)
-        - math.lgamma(trials - successes + 1)
-        + successes * math.log(p)
-        + (trials - successes) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
-
-
-def _binomial_pmf_column(successes: int, trials: np.ndarray, p: float) -> np.ndarray:
-    """Binomial pmf at fixed ``successes`` over an array of trial counts."""
-    if p <= 0.0:
-        return np.ones(trials.shape) if successes == 0 else np.zeros(trials.shape)
-    if p >= 1.0:
-        return (trials == successes).astype(float)
-    log_pmf = (
-        gammaln(trials + 1.0)
-        - math.lgamma(successes + 1)
-        - gammaln(trials - successes + 1.0)
-        + successes * math.log(p)
-        + (trials - successes) * math.log1p(-p)
-    )
-    return np.exp(log_pmf)
-
-
 @lru_cache(maxsize=512)
 def binomial_coefficients(k_max: int, n_max: int) -> np.ndarray:
     """Read-only table C[k, n] = choose(n, k) for k <= k_max, n <= n_max."""
@@ -240,35 +191,6 @@ def binomial_coefficients(k_max: int, n_max: int) -> np.ndarray:
             table[k, n] = math.comb(n, k)
     table.setflags(write=False)
     return table
-
-
-def detect_conditional(j: int, l: int, det: DetectorModel) -> float:
-    """Probability that the detector reports j photons out of l arriving ones."""
-    if j < 0 or l < 0 or j > l:
-        raise ValueError(f"need 0 <= j <= l, got j={j}, l={l}")
-    return binomial_pmf(j, l, det.efficiency)
-
-
-def detect_total(
-    j: int,
-    dist: PairDistribution,
-    det: DetectorModel,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> float:
-    """Total probability of detecting exactly j idler photons in one pulse.
-
-    The sum over generated pair numbers is truncated once the remaining
-    pair-distribution tail mass drops below ``tail_tol``.
-    """
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    l_max = truncation_length(dist, tail_tol)
-    if j > l_max:
-        return 0.0
-    ls = np.arange(j, l_max + 1)
-    pair = pmf_array(dist, l_max)[j:]
-    cond = _binomial_pmf_column(j, ls, det.efficiency)
-    return float(np.dot(cond, pair))
 
 
 def herald_weights(strategy: HeraldingStrategy, det: DetectorModel, l_max: int) -> np.ndarray:
@@ -286,7 +208,7 @@ def herald_weights(strategy: HeraldingStrategy, det: DetectorModel, l_max: int) 
     for j in sorted(strategy.accepted):
         if j > l_max:
             continue
-        exponents = np.clip(ls - j, 0, None)
+        exponents = np.maximum(ls - j, 0)
         # comb[j, l] vanishes for l < j, masking the clipped exponents
         if eff < 1.0:
             weights += comb[j] * eff**j * (1.0 - eff) ** exponents
@@ -294,15 +216,3 @@ def herald_weights(strategy: HeraldingStrategy, det: DetectorModel, l_max: int) 
             weights[j] += comb[j, j]
     return weights
 
-
-def herald_probability(
-    strategy: HeraldingStrategy,
-    dist: PairDistribution,
-    det: DetectorModel,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> float:
-    """Per-pulse probability that one unit produces a herald."""
-    strategy.validate_for(det)
-    if strategy.is_threshold:
-        return 1.0 - detect_total(0, dist, det, tail_tol)
-    return sum(detect_total(j, dist, det, tail_tol) for j in sorted(strategy.accepted))

@@ -20,19 +20,15 @@ from muxsps import (
     PairKind,
     SourceConfig,
     comparison_map,
-    detect_conditional,
-    detect_total,
-    herald_probability,
     optimize_strategy,
     optimize_units,
     output_distribution,
     p1_spd_closed_form,
     p1_threshold_closed_form,
-    pair_pmf,
     simulate,
-    transmit_conditional,
 )
 from muxsps.statistics import pmf_array, truncation_length
+from references import detect_conditional, detect_total, herald_probability, pair_pmf, transmit_conditional
 
 SPD = HeraldingStrategy.single_photon()
 THRESHOLD = HeraldingStrategy.threshold()

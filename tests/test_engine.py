@@ -16,6 +16,7 @@ from muxsps.engine import (
     p1_profile,
     p1_spd_closed_form,
     p1_threshold_closed_form,
+    profile_lanes,
 )
 from muxsps.losses import MultiplexerModel, MuxKind
 from muxsps.statistics import (
@@ -23,9 +24,9 @@ from muxsps.statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
-    pair_pmf,
     truncation_length,
 )
+from references import pair_pmf
 
 
 def constant_loss_config(mean, eff, survival, units, strategy, kind=PairKind.POISSONIAN, **kwargs):
@@ -305,7 +306,34 @@ class TestInvariants:
                     at = replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean)))
                     assert value == pytest.approx(output_distribution(at)[1], abs=5 * cfg.tail_tol)
 
+        # each unit count in two lanes of different strategies
+        mixes = (cfg.strategy, HeraldingStrategy.threshold(), HeraldingStrategy.up_to(3))
+        units = [n for n in lanes for _ in range(2)]
+        strategies = [mixes[i % len(mixes)] for i in range(len(units))]
+        per_lane = np.outer(np.linspace(0.6, 1.0, len(units)), shared)
+        for means in (shared, per_lane):
+            profile = p1_profile(cfg, means, profile_lanes(cfg, units, strategies, max_mean=20.0))
+            assert profile.shape == (len(units), shared.size)
+            # herald weights made for a larger mean are sliced to the same values
+            exact = p1_profile(cfg, means, profile_lanes(cfg, units, strategies, max_mean=means.max()))
+            assert np.array_equal(profile, exact)
+            for n, strategy, lane_means, values in zip(units, strategies, np.broadcast_to(means, profile.shape), profile):
+                for mean, value in zip(lane_means, values):
+                    at = replace(cfg, units=n, strategy=strategy, dist=replace(cfg.dist, mean=float(mean)))
+                    assert value == pytest.approx(output_distribution(at)[1], abs=5 * cfg.tail_tol)
+
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
         with pytest.raises(ValueError):
             p1_profile(cfg, np.array([0.0, 0.5]))
+        with pytest.raises(ValueError):
+            p1_profile(cfg, np.ones((3, 2)), [1, 2])  # two lanes, three rows of means
+        with pytest.raises(ValueError):
+            p1_profile(cfg, np.array([0.5, 1.5]), profile_lanes(cfg, [1, 2], max_mean=1.0))
+
+    def test_lanes_need_one_valid_strategy_each(self):
+        cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
+        with pytest.raises(ValueError):
+            profile_lanes(cfg, [1, 2], [HeraldingStrategy.threshold()], max_mean=1.0)
+        with pytest.raises(ValueError):
+            profile_lanes(cfg, [1], [HeraldingStrategy.up_to(11)], max_mean=1.0)  # beyond the resolution cap

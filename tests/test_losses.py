@@ -13,10 +13,10 @@ from muxsps.losses import (
     MultiplexerModel,
     MuxKind,
     hamming_weight,
-    transmit_conditional,
     unit_transmission,
     unit_transmissions,
 )
+from references import transmit_conditional
 
 
 def binary_delay_path(delay: int, units: int, pbs_t: float, pbs_r: float, prop: float, base: float) -> float:

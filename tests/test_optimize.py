@@ -1,6 +1,7 @@
 """Pump, unit-count and accepted-set optimization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,31 @@ class TestOptimizeStrategy:
         scan = optimize_strategy(cfg, j_max=4)
         by_j = dict(scan.results_by_j)
         assert scan.best().p1_max >= by_j[1].p1_max - 1e-12
+
+    @pytest.mark.parametrize("kind", list(PairKind))
+    @pytest.mark.parametrize(
+        "mux, lanes",
+        [
+            (MultiplexerModel.symmetric_spatial(0.93), tuple(2**k for k in range(11))),
+            (MultiplexerModel.time_chain(0.97, generic_transmission=0.95), tuple(range(1, 33))),
+            (MultiplexerModel.binary_bulk_time(0.97, 0.99, 0.95, generic_transmission=0.95), tuple(2**k for k in range(9))),
+        ],
+        ids=["tree-pow2:1024", "chain-1..32", "btm-pow2:256"],
+    )
+    def test_each_cutoff_matches_its_own_unit_scan(self, mux, lanes, kind):
+        # one lockstep search over every (cutoff, unit count) lane gives each
+        # cutoff what a search over its unit counts alone gives
+        cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.85), HeraldingStrategy.threshold(), mux, 1)
+        scan = optimize_strategy(cfg, j_max=4, n_candidates=lanes)
+        assert [j for j, _ in scan.results_by_j] == [1, 2, 3, 4]
+        for j, result in scan.results_by_j:
+            alone = optimize_units(replace(cfg, strategy=HeraldingStrategy.up_to(j)), lanes)
+            assert result.strategy_used == HeraldingStrategy.up_to(j)
+            assert result.n_opt == alone.n_opt, j
+            assert result.p1_max == pytest.approx(alone.p1_max, abs=1e-10), j
+            assert result.lambda_opt == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL), j
+            assert [p.units for p in result.per_n_curve] == list(lanes)
+        assert scan.best().p1_max == max(result.p1_max for _, result in scan.results_by_j)
 
     def test_j_max_capped_by_resolution(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())

@@ -6,6 +6,8 @@ over individual photon fates.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -19,14 +21,12 @@ from muxsps.statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
-    detect_conditional,
-    detect_total,
-    herald_probability,
     herald_weights,
-    pair_pmf,
+    log_factorials,
     pmf_array,
     truncation_length,
 )
+from references import detect_conditional, detect_total, herald_probability, pair_pmf
 
 
 def brute_force_k_of_n(k: int, n: int, p: float) -> float:
@@ -65,6 +65,11 @@ class TestPairPmf:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             PairDistribution(PairKind.POISSONIAN, -0.1)
+
+    def test_log_factorial_table(self):
+        table = log_factorials(25)
+        assert not table.flags.writeable
+        assert table == pytest.approx([math.log(math.factorial(k)) for k in range(26)], rel=1e-14, abs=1e-15)
 
     @given(
         kind=st.sampled_from(list(PairKind)),
@@ -220,6 +225,20 @@ class TestHeraldWeights:
         weights = herald_weights(HeraldingStrategy.threshold(), DetectorModel(eff), l)
         assert weights[l] == pytest.approx(1.0 - (1.0 - eff) ** l, abs=1e-12)
 
+    @pytest.mark.parametrize("eff", [0.0, 0.37, 0.9, 1.0])
+    @pytest.mark.parametrize(
+        "strategy",
+        [HeraldingStrategy.threshold(), HeraldingStrategy.up_to(6), HeraldingStrategy(accepted=frozenset({2, 9}))],
+        ids=["threshold", "up-to-6", "set-2-9"],
+    )
+    def test_long_table_slices_to_short_one(self, strategy, eff):
+        # a lane search computes the weights once, at its longest series,
+        # and slices them for shorter ones: the values must not move
+        det = DetectorModel(eff)
+        long = herald_weights(strategy, det, 700)
+        for l_max in (0, 1, 5, 8, 40, 699):
+            assert np.array_equal(long[: l_max + 1], herald_weights(strategy, det, l_max))
+
     def test_set_weights_sum_detect_columns(self):
         det = DetectorModel(0.75)
         strategy = HeraldingStrategy(accepted=frozenset({1, 3}))
@@ -241,3 +260,11 @@ class TestStrategyValidation:
     def test_labels(self):
         assert HeraldingStrategy.threshold().label == "all"
         assert HeraldingStrategy.up_to(3).label == "1,2,3"
+
+
+def test_import_leaves_out_scipy():
+    # numpy is the one runtime dependency
+    probe = "import sys, muxsps; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
