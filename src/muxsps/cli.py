@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .config import PRESETS, ConfigError, RunSpec, dump_config, flatten_config, format_value, inclusive_range, parse_config, strategy_from_token
-from .engine import SourceConfig, output_distribution
+from .engine import OutputDistribution, SourceConfig, output_distribution
 from .losses import MuxKind
 from .optimize import comparison_map, optimize_strategy, optimize_units, run_tasks
 from .simulate import simulate
@@ -118,9 +118,8 @@ def _emit(spec: RunSpec, header: Sequence[str], rows: Iterable[Sequence], meta: 
     _write(spec, "\n".join(lines) + "\n")
 
 
-def _mc_check(cfg: SourceConfig, spec: RunSpec, meta: list[tuple[str, str]]) -> int:
-    """Sample the pipeline and compare against the exact distribution."""
-    exact = output_distribution(cfg)
+def _mc_check(cfg: SourceConfig, exact: OutputDistribution, spec: RunSpec, meta: list[tuple[str, str]]) -> int:
+    """Sample the pipeline and compare against its exact distribution."""
     estimate = simulate(cfg, spec.mc_samples, spec.seed)
     worst = max(estimate.sigma(i, exact[i]) for i in range(MC_CHECK_I_MAX + 1))
     meta.append(("mc_check", f"samples={spec.mc_samples} seed={spec.seed} max_sigma={worst:.3f} (i<={MC_CHECK_I_MAX})"))
@@ -141,7 +140,7 @@ def _cmd_evaluate(spec: RunSpec) -> int:
     meta.append(("truncation_deficit", repr(out.truncation_deficit)))
     status = EXIT_OK
     if spec.mc_samples:
-        status = _mc_check(cfg, spec, meta)
+        status = _mc_check(cfg, out, spec, meta)
     rows = [(i, p) for i, p in enumerate(out.probabilities)]
     _emit(spec, ["i", "P_i"], rows, meta)
     return status
@@ -154,14 +153,13 @@ def _cmd_optimize(spec: RunSpec) -> int:
     meta.append(("n_opt", str(result.n_opt)))
     meta.append(("p1_max", repr(result.p1_max)))
     meta.append(("lambda_opt", repr(result.lambda_opt)))
-    meta.append(("p_i_at_optimum", " ".join(repr(p) for p in result.output_at_optimum.probabilities)))
-    meta.append(("truncation_deficit", repr(result.output_at_optimum.truncation_deficit)))
+    best_cfg = replace(cfg, units=result.n_opt, dist=replace(cfg.dist, mean=result.lambda_opt))
+    exact = output_distribution(best_cfg)
+    meta.append(("p_i_at_optimum", " ".join(repr(p) for p in exact.probabilities)))
+    meta.append(("truncation_deficit", repr(exact.truncation_deficit)))
     status = EXIT_OK
     if spec.mc_samples:
-        best_cfg = replace(
-            cfg, units=result.n_opt, dist=replace(cfg.dist, mean=result.lambda_opt)
-        )
-        status = _mc_check(best_cfg, spec, meta)
+        status = _mc_check(best_cfg, exact, spec, meta)
     rows = [
         (p.units, p.lambda_opt, p.p1, int(p.units == result.n_opt))
         for p in result.per_n_curve
@@ -278,14 +276,12 @@ def _table_router_grid(spec: RunSpec) -> int:
 
 
 def _table_curves(spec: RunSpec) -> int:
-    cfg = spec.source_config()
+    cfg = replace(spec.source_config(), i_max=1)  # the table reads P_1 alone
     unit_counts = spec.sweep.n_values or (spec.units,)
     rows = []
     for units in unit_counts:
         for mean in spec.sweep.lambda_values:
-            out = output_distribution(
-                replace(cfg, units=units, dist=replace(cfg.dist, mean=mean))
-            )
+            out = output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=mean)))
             rows.append((units, mean, out[1]))
     _emit(spec, ["N", "lambda", "P_1"], rows, _meta(spec))
     return EXIT_OK

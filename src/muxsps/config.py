@@ -13,7 +13,7 @@ from configparser import ConfigParser
 from dataclasses import dataclass, field
 
 from .engine import DEFAULT_I_MAX, SourceConfig
-from .losses import MultiplexerModel, MuxKind
+from .losses import KIND_PARAMS, MultiplexerModel, MuxKind
 from .optimize import DEFAULT_J_MAX
 from .statistics import (
     DEFAULT_RESOLUTION_CAP,
@@ -24,23 +24,11 @@ from .statistics import (
     PairKind,
 )
 
-STRATEGY_TOKENS = ("spd", "threshold")
-
 _SECTION_KEYS = {
     "source": ("kind", "mean"),
     "detector": ("efficiency", "resolution_cap"),
     "strategy": ("accepted",),
-    "multiplexer": (
-        "kind",
-        "units",
-        "generic_transmission",
-        "router_transmission",
-        "cycle_transmission",
-        "pbs_transmission",
-        "pbs_reflection",
-        "propagation_transmission",
-        "min_cycles",
-    ),
+    "multiplexer": ("kind", "units", "generic_transmission", *KIND_PARAMS, "min_cycles"),
     "optimizer": ("tail_tol", "i_max", "n_candidates", "j_max"),
     "sweep": ("vd_values", "vr_values", "n_values", "lambda_values", "strategies", "pair_kinds"),
 }
@@ -250,14 +238,7 @@ def parse_config(text: str, **run_context) -> RunSpec:
             "multiplexer.kind", f"must be one of {[k.value for k in MuxKind]}, got {mux_kind_raw!r}"
         ) from exc
     mux_kwargs: dict[str, float | int] = {}
-    for key in (
-        "generic_transmission",
-        "router_transmission",
-        "cycle_transmission",
-        "pbs_transmission",
-        "pbs_reflection",
-        "propagation_transmission",
-    ):
+    for key in ("generic_transmission", *KIND_PARAMS):
         raw = get("multiplexer", key)
         if raw is not None:
             mux_kwargs[key] = _parse_float("multiplexer", key, raw, 0.0, 1.0)
@@ -294,8 +275,7 @@ def parse_config(text: str, **run_context) -> RunSpec:
     if raw is not None:
         tokens = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
         for token in tokens:
-            if token not in STRATEGY_TOKENS:
-                raise ConfigError("sweep.strategies", f"unknown strategy token {token!r}")
+            strategy_from_token(token)  # raises on an unknown token
         sweep_kwargs["strategies"] = tokens
     raw = get("sweep", "pair_kinds")
     if raw is not None:

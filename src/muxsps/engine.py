@@ -6,10 +6,12 @@ first unit (in priority order) whose detected count lands in the accepted
 set gets its signal photons routed to the output through that unit's lossy
 path.  If no unit heralds, the output is vacuum.
 
-``output_distribution`` evaluates the resulting output photon-number
-probabilities exactly, up to a controlled series truncation.  For a
-Poissonian source the threshold and single-photon heralding cases also
-admit closed forms, kept here as independent cross-checks.
+One kernel, ``p1_profile``, evaluates the resulting output photon-number
+probabilities exactly, up to a controlled series truncation, for a batch
+of (heralding strategy, unit count) lanes and pump means;
+``output_distribution`` is its one-lane, one-mean call.  For a Poissonian
+source the threshold and single-photon heralding cases also admit closed
+forms, kept here as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .statistics import (
     PairKind,
     binomial_coefficients,
     herald_weights,
-    log_factorials,
     pmf_array,
     truncation_length,
 )
@@ -90,48 +91,23 @@ def _no_herald_weights(miss, units: int) -> np.ndarray:
     return np.exp(np.multiply.outer(np.log(np.maximum(miss, _TINY)), np.arange(units)))
 
 
-def _survivor_polynomial(transmissions: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """[u, l-1] = l * v_u * (1 - v_u)**(l-1): one of l photons survives v_u."""
+def _survivor_polynomial(transmissions: np.ndarray, i: int, counts: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """[u, l-i] = C(l, i) * v_u**i * (1 - v_u)**(l-i): i of l photons survive v_u.
+
+    ``counts`` holds C(l, i) and ``exponents`` l - i, for l = i..l_max.
+    """
     v = transmissions[:, None]
-    return v * ls[1:] * (1.0 - v) ** (ls[1:] - 1)
+    return v**i * counts * (1.0 - v) ** exponents
 
 
 def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     """Exact output photon-number distribution of the configured source.
 
-    The pair-number series stops once the pair distribution's remaining
-    tail mass is below ``cfg.tail_tol / cfg.units``, since the priority
-    sum over units amplifies the truncated herald mass by up to about the
-    unit count; everything else is evaluated in full.  Units sharing one
-    transmission are grouped, so the cost scales with the number of
-    distinct per-unit transmissions, not with the unit count itself.
+    The one-lane, one-mean call of ``p1_profile`` for photon numbers
+    0..``cfg.i_max``; the deficit is the mass the returned counts miss.
     """
-    l_max = truncation_length(cfg.dist, cfg.tail_tol / cfg.units)
-    pair = pmf_array(cfg.dist, l_max)
-    weights = herald_weights(cfg.strategy, cfg.detector, l_max)
-    mass = weights * pair  # joint weight of (l pairs, herald fires)
-    p_herald = float(mass.sum())
-    miss = max(1.0 - p_herald, 0.0)
-
-    transmissions = unit_transmissions(cfg.mux, cfg.units)
-    priority = _no_herald_weights(miss, cfg.units)
-    distinct, inverse = np.unique(transmissions, return_inverse=True)
-    group_weight = np.bincount(inverse, weights=priority, minlength=distinct.size)
-
-    i_top = cfg.i_max
-    comb = binomial_coefficients(min(i_top, l_max), l_max)
-    mass_comb = comb * mass  # [i, l] = choose(l, i) * mass[l]
-    survive = distinct[:, None] ** np.arange(i_top + 1)[None, :]
-    lost = (1.0 - distinct)[:, None] ** np.arange(l_max + 1)[None, :]
-
-    probs = np.zeros(i_top + 1)
-    for i in range(min(i_top, l_max) + 1):
-        per_group = lost[:, : l_max - i + 1] @ mass_comb[i, i:]
-        probs[i] = float(group_weight @ (survive[:, i] * per_group))
-    probs[0] += miss**cfg.units
-
-    deficit = 1.0 - float(probs.sum())
-    return OutputDistribution(tuple(float(p) for p in probs), deficit)
+    probs = p1_profile(cfg, np.array([cfg.dist.mean]), photons=range(cfg.i_max + 1))[:, 0, 0]
+    return OutputDistribution(tuple(probs.tolist()), 1.0 - float(probs.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +136,12 @@ class ProfileLanes:
 
 
 def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
-    """Pair-count cutoff of a profile: one truncation at its largest mean and unit count."""
+    """Pair-count cutoff of a profile: one truncation at its largest mean and unit count.
+
+    The tail left out is below ``cfg.tail_tol / max_units``, since the
+    priority sum over units amplifies the truncated herald mass by up to
+    about the unit count.
+    """
     return max(1, truncation_length(PairDistribution(cfg.dist.kind, max_mean), cfg.tail_tol / max_units))
 
 
@@ -186,84 +167,105 @@ def profile_lanes(
     for strategy in distinct:
         strategy.validate_for(cfg.detector)
     l_max = _series_length(cfg, max_mean, int(units.max()))
-    counts, which = np.unique(units, return_inverse=True)
+    counts = np.array(sorted(set(units.tolist())))
+    which = np.searchsorted(counts, units)
     joined = np.concatenate([unit_transmissions(cfg.mux, n) for n in counts.tolist()])
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
-    weights = np.stack([herald_weights(s, cfg.detector, l_max) for s in distinct])
+    weights = np.array([herald_weights(s, cfg.detector, l_max) for s in distinct])
     row = np.array([distinct.index(s) for s in strategies])
     return ProfileLanes(units, row, starts[which], uniform[which], weights, joined, float(max_mean))
 
 
 def p1_profile(
-    cfg: SourceConfig, means: np.ndarray, lanes: ProfileLanes | Sequence[int] | None = None
+    cfg: SourceConfig,
+    means: np.ndarray,
+    lanes: ProfileLanes | Sequence[int] | None = None,
+    photons: int | Sequence[int] = 1,
 ) -> np.ndarray:
-    """Single-photon output probability for every lane and pump mean.
+    """Output photon-number probabilities for every lane and pump mean.
 
-    A lane is a (heralding strategy, unit count) pair: ``lanes`` is a
-    ``ProfileLanes`` from ``profile_lanes``, or unit counts that all use
-    ``cfg.strategy`` (default ``cfg.units`` alone).  ``means`` is a 1-d grid
-    shared by every lane or a 2-d array with one row per lane; the result
-    is a (lanes, means) array.  The series of ``output_distribution`` is
-    factored so no lanes x means x pairs array is built: the pair pmf per
-    mean, one herald-weight row per strategy, the single-survivor
-    polynomial per lane (per unit count for lanes with many
-    transmissions), and the priority sum in closed geometric form for a
-    lane whose units all share one transmission.  One truncation point,
-    taken at the largest mean and unit count, serves the whole call.
-    Means must be positive.
+    The one evaluation kernel of the library: P_i for i = ``photons`` (the
+    single-photon probability by default), and ``output_distribution`` is
+    its one-lane, one-mean call.  A lane is a (heralding strategy, unit
+    count) pair: ``lanes`` is a ``ProfileLanes`` from ``profile_lanes``, or
+    unit counts that all use ``cfg.strategy`` (default ``cfg.units``
+    alone).  ``means`` is a 1-d grid shared by every lane or a 2-d array
+    with one row per lane; the result is a (lanes, means) array for one
+    photon number and a (photons, lanes, means) array for a sequence.
+
+    The series is factored so no lanes x means x pairs array is built: the
+    pair pmf per mean, one herald-weight row per strategy, the survivor
+    polynomial C(l, i) v**i (1 - v)**(l - i) per lane (per unit count for
+    lanes with many transmissions), and the priority sum in closed
+    geometric form for a lane whose units all share one transmission.  P_0
+    also holds the no-herald term miss**units, and photon numbers beyond
+    the series are 0.  One truncation point, taken at the largest mean and
+    unit count, serves the whole call.  Means must be non-negative.
     """
     means = np.asarray(means, dtype=float)
-    if means.ndim not in (1, 2) or means.size == 0 or np.any(means <= 0.0):
-        raise ValueError("means must be a non-empty 1-d array, or one row per lane, of positive values")
+    if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
+        raise ValueError("means must be a non-empty 1-d array, or one row per lane, of non-negative values")
+    top = float(means.max())
     if not isinstance(lanes, ProfileLanes):
-        lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=float(means.max()))
+        lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=top)
     per_lane = means.ndim == 2
     if per_lane and len(means) != lanes.units.size:
         raise ValueError("a 2-d means array needs one row per lane")
-    if means.max() > lanes.max_mean:
-        raise ValueError(f"means reach {means.max()}, beyond the lanes' max_mean {lanes.max_mean}")
+    if top > lanes.max_mean:
+        raise ValueError(f"means reach {top}, beyond the lanes' max_mean {lanes.max_mean}")
+    one = isinstance(photons, (int, np.integer))
+    wanted = (int(photons),) if one else tuple(int(i) for i in photons)
+    if min(wanted) < 0:
+        raise ValueError(f"photon numbers must be >= 0, got {wanted}")
     # the lanes' own cutoff already bounds the tail, so a rounding-level
     # overshoot of the recurrence near max_mean cannot outgrow the weights
-    l_max = min(_series_length(cfg, float(means.max()), int(lanes.units.max())), lanes.weights.shape[1] - 1)
-    ls = np.arange(l_max + 1)
+    l_max = min(_series_length(cfg, top, int(lanes.units.max())), lanes.weights.shape[1] - 1)
+    comb = binomial_coefficients(max(wanted), l_max)
 
-    flat = means.reshape(-1, 1)
-    if cfg.dist.kind is PairKind.POISSONIAN:
-        pair = np.exp(ls * np.log(flat) - flat - log_factorials(l_max))
-    else:
-        pair = np.exp(ls * np.log(flat / (1.0 + flat))) / (1.0 + flat)
+    pair = pmf_array(cfg.dist.kind, means, l_max)
     weights = lanes.weights[:, : l_max + 1]  # equal to weights computed at l_max
     if per_lane:  # one mass row per lane, with its own means
-        mass = pair.reshape(lanes.units.size, -1, l_max + 1) * weights[lanes.row][:, None, :]
+        mass = pair * weights[lanes.row][:, None, :]
         source = np.arange(lanes.units.size)
     else:  # one mass row per strategy, over the shared means
         mass = pair[None] * weights[:, None, :]
         source = lanes.row
     p_herald = mass.sum(axis=-1)  # (mass rows, means)
 
-    out = np.empty((lanes.units.size, means.shape[-1]))
+    out = np.zeros((len(wanted), lanes.units.size, means.shape[-1]))
+    ls = np.arange(l_max + 1)
+    in_series = [(k, i, comb[i, i:], ls[: l_max + 1 - i]) for k, i in enumerate(wanted) if i <= l_max]
     same = np.flatnonzero(lanes.uniform)
-    poly = _survivor_polynomial(lanes.joined[lanes.offsets[same]], ls)[:, :, None]
-    if per_lane:
-        single = (mass[same, :, 1:] @ poly)[..., 0]
-    else:
-        single = np.empty((same.size, means.shape[-1]))
-        for r in sorted(set(source[same].tolist())):
-            pick = source[same] == r
-            single[pick] = (mass[r, :, 1:] @ poly[pick])[..., 0]
-    # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
-    # keeps it finite at p = 0 (limit: units) and at p = 1
-    p = np.minimum(np.maximum(p_herald[source[same]], _TINY), _BELOW_ONE)
-    out[same] = single * (-np.expm1(lanes.units[same, None] * np.log1p(-p)) / p)
+    if same.size:
+        transmissions = lanes.joined[lanes.offsets[same]]
+        # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the
+        # clip keeps it finite at p = 0 (limit: units) and at p = 1
+        p = np.minimum(np.maximum(p_herald[source[same]], _TINY), _BELOW_ONE)
+        geometric = -np.expm1(lanes.units[same, None] * np.log1p(-p)) / p
+        rows = [] if per_lane else [(r, source[same] == r) for r in sorted(set(source[same].tolist()))]
+        for k, i, counts, exponents in in_series:
+            poly = _survivor_polynomial(transmissions, i, counts, exponents)[:, :, None]
+            if per_lane:
+                survivors = (mass[same, :, i:] @ poly)[..., 0]
+            else:
+                survivors = np.empty((same.size, means.shape[-1]))
+                for r, pick in rows:
+                    survivors[pick] = (mass[r, :, i:] @ poly[pick])[..., 0]
+            out[k, same] = survivors * geometric
     mixed = ~lanes.uniform
     for n in sorted(set(lanes.units[mixed].tolist())):
         group = np.flatnonzero(mixed & (lanes.units == n))
         start = lanes.offsets[group[0]]
-        per_unit = mass[source[group], :, 1:] @ _survivor_polynomial(lanes.joined[start : start + n], ls).T
         priority = _no_herald_weights(1.0 - p_herald[source[group]], n)
-        out[group] = np.einsum("gkn,gkn->gk", priority, per_unit)  # (lanes, means, units) summed over units
-    return out
+        for k, i, counts, exponents in in_series:
+            poly = _survivor_polynomial(lanes.joined[start : start + n], i, counts, exponents)
+            per_unit = mass[source[group], :, i:] @ poly.T
+            out[k, group] = np.einsum("gkn,gkn->gk", priority, per_unit)  # (lanes, means, units) summed over units
+    for k, i in enumerate(wanted):
+        if i == 0:  # no unit heralds
+            out[k] += np.maximum(1.0 - p_herald[source], 0.0) ** lanes.units[:, None]
+    return out[0] if one else out
 
 
 def _require_poissonian(cfg: SourceConfig, wanted: str) -> None:

@@ -35,7 +35,7 @@ _REQUIRED = {
     MuxKind.TIME_LOOP_LATEST: ("cycle_transmission",),
     MuxKind.BINARY_BULK_TIME: ("pbs_transmission", "pbs_reflection", "propagation_transmission"),
 }
-_KIND_PARAMS = (
+KIND_PARAMS = (
     "router_transmission",
     "cycle_transmission",
     "pbs_transmission",
@@ -83,7 +83,7 @@ class MultiplexerModel:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{name} is required for kind={self.kind.value}")
-        for name in _KIND_PARAMS:
+        for name in KIND_PARAMS:
             value = getattr(self, name)
             if value is None:
                 continue

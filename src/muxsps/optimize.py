@@ -5,10 +5,12 @@ For a fixed loss configuration the free design knobs are the pump strength
 the detectors resolve photon number — the accepted-count set.  The search
 is exhaustive over unit counts and accepted-set cutoffs.  In the pump
 strength, every (heralding strategy, unit count) pair of a scan is one
-lane of the batched kernel ``p1_profile``: a coarse grid brackets each
-lane's peak and golden-section refinement then runs in lockstep over all
-lanes, so no unimodality assumption is load-bearing.  A cutoff scan is one
-such search over every (cutoff, unit count) lane.
+lane of the engine's one kernel ``p1_profile``, asked for P_1 alone: a
+coarse grid brackets each lane's peak and golden-section refinement then
+runs in lockstep over all lanes, so no unimodality assumption is
+load-bearing.  A cutoff scan is one such search over every (cutoff, unit
+count) lane.  Results carry the optimum, not the full output
+distribution there; ``output_distribution`` gives that on request.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import OutputDistribution, SourceConfig, output_distribution, p1_profile, profile_lanes
+from .engine import SourceConfig, p1_profile, profile_lanes
 from .losses import MultiplexerModel, MuxKind
 from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind
 
@@ -53,7 +55,6 @@ class OptimizationResult:
     lambda_opt: float
     p1_max: float
     strategy_used: HeraldingStrategy
-    output_at_optimum: OutputDistribution
     per_n_curve: tuple[CurvePoint, ...]
 
 
@@ -166,9 +167,7 @@ def _unit_candidates(cfg_template: SourceConfig, n_candidates: Iterable[int] | N
 
 def _best_on_curve(cfg_template: SourceConfig, curve: tuple[CurvePoint, ...]) -> OptimizationResult:
     best = max(curve, key=lambda point: point.p1)  # the first maximum: fewest units
-    at_best = replace(cfg_template, units=best.units, dist=replace(cfg_template.dist, mean=best.lambda_opt))
-    output = output_distribution(at_best)
-    return OptimizationResult(best.units, best.lambda_opt, best.p1, cfg_template.strategy, output, curve)
+    return OptimizationResult(best.units, best.lambda_opt, best.p1, cfg_template.strategy, curve)
 
 
 def optimize_units(

@@ -131,25 +131,25 @@ def log_factorials(k_max: int) -> np.ndarray:
     return table
 
 
-def pmf_array(dist: PairDistribution, l_max: int) -> np.ndarray:
-    """Pair pmf evaluated at counts 0..l_max."""
+def pmf_array(kind: PairKind, means, l_max: int) -> np.ndarray:
+    """Pair pmf at counts 0..l_max for each mean: shape ``np.shape(means) + (l_max + 1,)``.
+
+    A mean of 0 gives the vacuum row [1, 0, ...].
+    """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    mean = dist.mean
-    out = np.zeros(l_max + 1)
-    if mean == 0.0:
-        out[0] = 1.0
-        return out
+    means = np.asarray(means, dtype=float)[..., None]
     ls = np.arange(l_max + 1)
-    if dist.kind is PairKind.POISSONIAN:
-        out = np.exp(ls * math.log(mean) - mean - log_factorials(l_max))
-    else:
-        out = np.exp(ls * math.log(mean / (1.0 + mean)) - math.log1p(mean))
-    return out
+    if not means.all():  # a stand-in mean of 1 keeps the logs finite; its rows are replaced
+        vacuum = means == 0.0
+        return np.where(vacuum, ls == 0, pmf_array(kind, np.where(vacuum, 1.0, means)[..., 0], l_max))
+    if kind is PairKind.POISSONIAN:
+        return np.exp(ls * np.log(means) - means - log_factorials(l_max))
+    return np.exp(ls * np.log(means / (1.0 + means))) / (1.0 + means)
 
 
 def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Pair-count cutoff L with ``pmf_array(dist, L).sum() >= 1 - tail_tol``.
+    """Pair-count cutoff L with ``pmf_array(dist.kind, dist.mean, L).sum() >= 1 - tail_tol``.
 
     The series stops once the exact tail is below 0.99 * tail_tol: when
     the exact tail only just meets tail_tol, the rounded float sum can

@@ -1,7 +1,8 @@
 """Scalar reference functions for the photon-number statistics.
 
 Plain one-value-at-a-time forms of the pair pmf, binomial thinning,
-detection and heralding probabilities.  The library evaluates these
+detection and heralding probabilities, and of the output distribution of
+a whole multiplexed source built from them.  The library evaluates these
 quantities only as vectorised series; the tests use these forms as
 independent references.
 """
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 
+from muxsps.losses import unit_transmissions
 from muxsps.statistics import (
     DEFAULT_TAIL_TOL,
     DetectorModel,
@@ -108,7 +110,7 @@ def detect_total(
     if j > l_max:
         return 0.0
     ls = np.arange(j, l_max + 1)
-    pair = pmf_array(dist, l_max)[j:]
+    pair = pmf_array(dist.kind, dist.mean, l_max)[j:]
     cond = binomial_pmf_column(j, ls, det.efficiency)
     return float(np.dot(cond, pair))
 
@@ -124,3 +126,37 @@ def herald_probability(
     if strategy.is_threshold:
         return 1.0 - detect_total(0, dist, det, tail_tol)
     return sum(detect_total(j, dist, det, tail_tol) for j in sorted(strategy.accepted))
+
+
+def output_reference(cfg) -> list[float]:
+    """P_0..P_{cfg.i_max} of a multiplexed source, summed term by term.
+
+    Unit n heralds with probability p_herald after units 1..n-1 all missed,
+    i.e. with priority weight miss**(n-1); the heralded unit's l pairs then
+    lose their signal photons independently on the unit's path.  Units that
+    share one transmission are summed once with their total priority
+    weight, which keeps 1024-unit trees fast.  The pair series stops where
+    the kernel's does, at a tail below ``cfg.tail_tol / cfg.units``.
+    """
+    l_max = truncation_length(cfg.dist, cfg.tail_tol / cfg.units)
+    det, accepted = cfg.detector, cfg.strategy.accepted
+    herald = []  # probability of l pairs and a herald, l = 0..l_max
+    for l in range(l_max + 1):
+        if accepted is None:
+            fires = 1.0 - detect_conditional(0, l, det)
+        else:
+            fires = math.fsum(detect_conditional(j, l, det) for j in accepted if j <= l)
+        herald.append(fires * pair_pmf(cfg.dist, l))
+    miss = max(1.0 - math.fsum(herald), 0.0)
+    priority: dict[float, float] = {}
+    for n, survival in enumerate(unit_transmissions(cfg.mux, cfg.units).tolist(), start=1):
+        priority[survival] = priority.get(survival, 0.0) + miss ** (n - 1)
+    probs = []
+    for i in range(cfg.i_max + 1):
+        heralded = math.fsum(
+            weight * herald[l] * transmit_conditional(i, l, survival)
+            for survival, weight in priority.items()
+            for l in range(i, l_max + 1)
+        )
+        probs.append(heralded + (miss**cfg.units if i == 0 else 0.0))
+    return probs

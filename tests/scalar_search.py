@@ -18,7 +18,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def p1_at(cfg: SourceConfig, units: int, mean: float) -> float:
-    return output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean))))[1]
+    return output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean)), i_max=1))[1]
 
 
 def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -257,7 +257,7 @@ def test_criterion_11_property_suites():
     for _ in range(50):
         kind = [PairKind.POISSONIAN, PairKind.THERMAL][rng.integers(2)]
         dist = PairDistribution(kind, float(rng.uniform(0, 20)))
-        assert pmf_array(dist, truncation_length(dist, 1e-12)).sum() >= 1.0 - 1e-12
+        assert pmf_array(dist.kind, dist.mean, truncation_length(dist, 1e-12)).sum() >= 1.0 - 1e-12
 
     # thinning closure for both source kinds
     for _ in range(50):

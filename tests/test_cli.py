@@ -64,6 +64,15 @@ class TestConfigDocument:
         with pytest.raises(ValueError, match="detector.efficiency"):
             parse_config(bad)
 
+    def test_unknown_strategy_token_rejected(self):
+        with pytest.raises(ValueError, match="sweep.strategies: unknown strategy token 'bogus'"):
+            parse_config(MINIMAL + "\n[sweep]\nvd_values = 0.9\nstrategies = spd,bogus\n")
+
+    @pytest.mark.parametrize("key", ["generic_transmission", "cycle_transmission", "pbs_reflection"])
+    def test_multiplexer_floats_are_range_checked(self, key):
+        with pytest.raises(ValueError, match=f"multiplexer.{key}: must be within"):
+            parse_config(MINIMAL + f"{key} = 1.5\n")
+
     def test_candidate_syntaxes(self):
         spec = parse_config(MINIMAL + "\n[optimizer]\nn_candidates = pow2:16\n")
         assert spec.n_candidates == (1, 2, 4, 8, 16)

@@ -24,9 +24,8 @@ from muxsps.statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
-    truncation_length,
 )
-from references import pair_pmf
+from references import output_reference
 
 
 def constant_loss_config(mean, eff, survival, units, strategy, kind=PairKind.POISSONIAN, **kwargs):
@@ -40,31 +39,6 @@ def constant_loss_config(mean, eff, survival, units, strategy, kind=PairKind.POI
         units,
         **kwargs,
     )
-
-
-def single_unit_reference(cfg: SourceConfig, survival: float) -> list[float]:
-    """Independent one-unit evaluation with plain scalar sums."""
-    l_max = truncation_length(cfg.dist, cfg.tail_tol)
-    eff = cfg.detector.efficiency
-    if cfg.strategy.is_threshold:
-        accept = lambda l: 1.0 - (1.0 - eff) ** l
-    else:
-        accept = lambda l: sum(
-            math.comb(l, j) * eff**j * (1 - eff) ** (l - j) for j in cfg.strategy.accepted if j <= l
-        )
-    p_herald = sum(accept(l) * pair_pmf(cfg.dist, l) for l in range(l_max + 1))
-    probs = []
-    for i in range(cfg.i_max + 1):
-        mass = sum(
-            accept(l)
-            * pair_pmf(cfg.dist, l)
-            * math.comb(l, i)
-            * survival**i
-            * (1 - survival) ** (l - i)
-            for l in range(i, l_max + 1)
-        )
-        probs.append(mass + ((1.0 - p_herald) if i == 0 else 0.0))
-    return probs
 
 
 class TestDegenerateCases:
@@ -193,7 +167,7 @@ class TestAgainstIndependentReferences:
         ):
             for kind in PairKind:
                 cfg = constant_loss_config(0.9, 0.75, 0.6, 1, strategy, kind=kind)
-                want = single_unit_reference(cfg, 0.6)
+                want = output_reference(cfg)
                 assert list(output_distribution(cfg).probabilities) == pytest.approx(want, rel=1e-10, abs=1e-13)
 
     @given(mean=st.floats(0.05, 3.0), units=st.sampled_from([1, 2, 4, 8, 16]))
@@ -275,6 +249,14 @@ class TestInvariants:
         large = output_distribution(replace(cfg, i_max=10))
         assert large.truncation_deficit <= small.truncation_deficit + 1e-12
 
+    @given(cfg=random_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_output_matches_reference(self, cfg):
+        out = output_distribution(cfg)
+        want = output_reference(cfg)
+        assert list(out.probabilities) == pytest.approx(want, abs=5 * cfg.tail_tol)
+        assert out.truncation_deficit == pytest.approx(1.0 - math.fsum(want), abs=5 * cfg.tail_tol)
+
     def test_output_distribution_accessors(self):
         out = OutputDistribution((0.25, 0.75), 0.0)
         assert out.single_photon == 0.75
@@ -299,12 +281,15 @@ class TestInvariants:
         shared = np.array([0.02, 0.3, 1.1, 4.7])
         per_lane = np.outer(np.linspace(0.6, 1.0, len(lanes)), shared)
         for means in (shared, per_lane):
-            profile = p1_profile(cfg, means, lanes)
-            assert profile.shape == (len(lanes), shared.size)
-            for units, lane_means, values in zip(lanes, np.broadcast_to(means, profile.shape), profile):
+            profile = p1_profile(cfg, means, lanes, photons=range(3))
+            assert profile.shape == (3, len(lanes), shared.size)
+            # the photon numbers asked for do not change P_1's arithmetic
+            assert np.array_equal(profile[1], p1_profile(cfg, means, lanes))
+            per_mean = profile.transpose(1, 2, 0)  # (lanes, means, photons)
+            for units, lane_means, values in zip(lanes, np.broadcast_to(means, per_mean.shape[:2]), per_mean):
                 for mean, value in zip(lane_means, values):
-                    at = replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean)))
-                    assert value == pytest.approx(output_distribution(at)[1], abs=5 * cfg.tail_tol)
+                    at = replace(cfg, units=units, dist=replace(cfg.dist, mean=float(mean)), i_max=2)
+                    assert list(value) == pytest.approx(output_reference(at), abs=5 * cfg.tail_tol)
 
         # each unit count in two lanes of different strategies
         mixes = (cfg.strategy, HeraldingStrategy.threshold(), HeraldingStrategy.up_to(3))
@@ -319,17 +304,26 @@ class TestInvariants:
             assert np.array_equal(profile, exact)
             for n, strategy, lane_means, values in zip(units, strategies, np.broadcast_to(means, profile.shape), profile):
                 for mean, value in zip(lane_means, values):
-                    at = replace(cfg, units=n, strategy=strategy, dist=replace(cfg.dist, mean=float(mean)))
-                    assert value == pytest.approx(output_distribution(at)[1], abs=5 * cfg.tail_tol)
+                    at = replace(cfg, units=n, strategy=strategy, dist=replace(cfg.dist, mean=float(mean)), i_max=1)
+                    assert value == pytest.approx(output_reference(at)[1], abs=5 * cfg.tail_tol)
 
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                p1_profile(cfg, np.array([bad, 0.5]))
         with pytest.raises(ValueError):
-            p1_profile(cfg, np.array([0.0, 0.5]))
+            p1_profile(cfg, np.array([0.5]), photons=[-1, 1])
         with pytest.raises(ValueError):
             p1_profile(cfg, np.ones((3, 2)), [1, 2])  # two lanes, three rows of means
         with pytest.raises(ValueError):
             p1_profile(cfg, np.array([0.5, 1.5]), profile_lanes(cfg, [1, 2], max_mean=1.0))
+
+    def test_profile_at_zero_mean_is_vacuum(self):
+        cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
+        profile = p1_profile(cfg, np.array([0.0, 0.5]), [1, 2], photons=[0, 1, 5])
+        assert np.array_equal(profile[:, :, 0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.all(profile[:, :, 1] > 0.0)
 
     def test_lanes_need_one_valid_strategy_each(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())

@@ -91,7 +91,8 @@ class TestOptimizeUnits:
     def test_output_at_optimum_consistent(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
         result = optimize_units(cfg, n_candidates=[1, 2, 4, 8])
-        assert result.output_at_optimum[1] == pytest.approx(result.p1_max, rel=1e-12)
+        at_best = output_distribution_at(cfg, result.n_opt, result.lambda_opt)
+        assert at_best == pytest.approx(result.p1_max, rel=1e-12)
         assert result.strategy_used == cfg.strategy
 
     def test_release_latest_loop_keeps_fixed_units(self):

@@ -59,7 +59,7 @@ class TestPairPmf:
     def test_array_matches_scalar(self):
         for kind in PairKind:
             dist = PairDistribution(kind, 0.8)
-            arr = pmf_array(dist, 12)
+            arr = pmf_array(dist.kind, dist.mean, 12)
             assert arr == pytest.approx([pair_pmf(dist, l) for l in range(13)], rel=1e-13)
 
     def test_negative_mean_rejected(self):
@@ -81,7 +81,7 @@ class TestPairPmf:
     def test_truncation_captures_tail(self, kind, mean, tail_tol):
         dist = PairDistribution(kind, mean)
         l_max = truncation_length(dist, tail_tol)
-        assert pmf_array(dist, l_max).sum() >= 1.0 - tail_tol
+        assert pmf_array(dist.kind, dist.mean, l_max).sum() >= 1.0 - tail_tol
 
 
 class TestDetectConditional:
