@@ -10,13 +10,7 @@ from .engine import (
     p1_spd_closed_form,
     p1_threshold_closed_form,
 )
-from .losses import (
-    MultiplexerModel,
-    MuxKind,
-    hamming_weight,
-    unit_transmission,
-    unit_transmissions,
-)
+from .losses import MultiplexerModel, MuxKind, unit_transmissions
 from .optimize import (
     ComparisonMap,
     CurvePoint,
@@ -35,6 +29,7 @@ from .statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
+    ParameterError,
 )
 
 __all__ = [
@@ -51,11 +46,11 @@ __all__ = [
     "OutputDistribution",
     "PairDistribution",
     "PairKind",
+    "ParameterError",
     "SimulationEstimate",
     "SourceConfig",
     "StrategyScanResult",
     "comparison_map",
-    "hamming_weight",
     "maximize_over_lambda",
     "optimize_strategy",
     "optimize_units",
@@ -63,6 +58,5 @@ __all__ = [
     "p1_spd_closed_form",
     "p1_threshold_closed_form",
     "simulate",
-    "unit_transmission",
     "unit_transmissions",
 ]

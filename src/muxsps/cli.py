@@ -21,13 +21,13 @@ import sys
 from dataclasses import replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import __version__
-from .config import PRESETS, ConfigError, RunSpec, dump_config, flatten_config, format_value, inclusive_range, parse_config, strategy_from_token
+from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, dump_config, flatten_config, format_value, inclusive_range, parse_config, strategy_from_token
 from .engine import OutputDistribution, SourceConfig, output_distribution
-from .losses import MuxKind
 from .optimize import comparison_map, optimize_strategy, optimize_units, run_tasks
 from .simulate import simulate
-from .statistics import PairDistribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,7 +134,7 @@ def _mc_check(cfg: SourceConfig, exact: OutputDistribution, spec: RunSpec, meta:
 
 
 def _cmd_evaluate(spec: RunSpec) -> int:
-    cfg = spec.source_config()
+    cfg = spec.cfg
     out = output_distribution(cfg)
     meta = _meta(spec)
     meta.append(("truncation_deficit", repr(out.truncation_deficit)))
@@ -147,7 +147,7 @@ def _cmd_evaluate(spec: RunSpec) -> int:
 
 
 def _cmd_optimize(spec: RunSpec) -> int:
-    cfg = spec.source_config()
+    cfg = spec.cfg
     result = optimize_units(cfg, spec.n_candidates)
     meta = _meta(spec)
     meta.append(("n_opt", str(result.n_opt)))
@@ -169,8 +169,7 @@ def _cmd_optimize(spec: RunSpec) -> int:
 
 
 def _cmd_strategy_scan(spec: RunSpec) -> int:
-    cfg = spec.source_config()
-    scan = optimize_strategy(cfg, spec.j_max, spec.n_candidates)
+    scan = optimize_strategy(spec.cfg, spec.j_max, spec.n_candidates)
     meta = _meta(spec)
     meta.append(("j_opt", str(scan.j_opt)))
     best = scan.best()
@@ -197,50 +196,38 @@ def _progress(label: str, total: int):
 
 
 def _cmd_map(spec: RunSpec) -> int:
-    sweep = spec.sweep
+    sweep, cfg = spec.sweep, spec.cfg
     if not sweep.vd_values or not sweep.vr_values:
         raise ConfigError("sweep.vd_values", "map needs both vd_values and vr_values")
-    grid_vd, grid_vr = sweep.vd_values, sweep.vr_values
-    if spec.mux.kind is not MuxKind.SYMMETRIC_SPATIAL:
-        raise ConfigError("multiplexer.kind", "map sweeps router transmission; needs symmetric-spatial")
     result = comparison_map(
-        grid_vd,
-        grid_vr,
+        sweep.vd_values,
+        sweep.vr_values,
         j_max=spec.j_max,
         n_candidates=spec.n_candidates,
-        tail_tol=spec.tail_tol,
-        i_max=spec.i_max,
-        resolution_cap=spec.detector.resolution_cap,
+        tail_tol=cfg.tail_tol,
+        i_max=cfg.i_max,
+        resolution_cap=cfg.detector.resolution_cap,
         workers=spec.workers,
-        progress=_progress("map", len(grid_vd) * len(grid_vr)),
+        progress=_progress("map", len(sweep.vd_values) * len(sweep.vr_values)),
     )
-    rows = []
-    for iv, vd in enumerate(result.axis_vd):
-        for ir, vr in enumerate(result.axis_vr):
-            rows.append(
-                (
-                    float(vd),
-                    float(vr),
-                    result.p1_spd[iv, ir],
-                    int(result.n_opt_spd[iv, ir]),
-                    result.lambda_opt_spd[iv, ir],
-                    result.p1_threshold[iv, ir],
-                    int(result.n_opt_threshold[iv, ir]),
-                    result.lambda_opt_threshold[iv, ir],
-                    result.delta_p[iv, ir],
-                    int(result.delta_m[iv, ir]),
-                    int(result.j_opt[iv, ir]),
-                    result.p1_jopt[iv, ir],
-                    result.delta_p_jopt[iv, ir],
-                )
-            )
-    header = [
-        "V_D", "V_r",
-        "P_1_max_spd", "N_opt_spd", "lambda_opt_spd",
-        "P_1_max_th", "N_opt_th", "lambda_opt_th",
-        "delta_P", "delta_m", "J_opt", "P_1_max_jopt", "delta_P_jopt",
+    vd, vr = np.meshgrid(result.axis_vd, result.axis_vr, indexing="ij")
+    columns = [
+        ("V_D", vd),
+        ("V_r", vr),
+        ("P_1_max_spd", result.p1_spd),
+        ("N_opt_spd", result.n_opt_spd),
+        ("lambda_opt_spd", result.lambda_opt_spd),
+        ("P_1_max_th", result.p1_threshold),
+        ("N_opt_th", result.n_opt_threshold),
+        ("lambda_opt_th", result.lambda_opt_threshold),
+        ("delta_P", result.delta_p),
+        ("delta_m", result.delta_m),
+        ("J_opt", result.j_opt),
+        ("P_1_max_jopt", result.p1_jopt),
+        ("delta_P_jopt", result.delta_p_jopt),
     ]
-    _emit(spec, header, rows, _meta(spec))
+    rows = zip(*(values.ravel() for _, values in columns))
+    _emit(spec, [name for name, _ in columns], rows, _meta(spec))
     return EXIT_OK
 
 
@@ -257,18 +244,13 @@ def _cmd_table(spec: RunSpec) -> int:
 
 def _router_cell(task: tuple) -> tuple:
     spec, vd, vr = task
-    cfg = replace(
-        spec.source_config(),
-        detector=replace(spec.detector, efficiency=vd),
-        mux=replace(spec.mux, router_transmission=vr),
-    )
+    cfg = spec.cfg
+    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=vd), mux=replace(cfg.mux, router_transmission=vr))
     result = optimize_units(cfg, spec.n_candidates)
     return (vd, vr, result.n_opt, result.p1_max, result.lambda_opt)
 
 
 def _table_router_grid(spec: RunSpec) -> int:
-    if spec.mux.kind is not MuxKind.SYMMETRIC_SPATIAL:
-        raise ConfigError("sweep.vr_values", "router-transmission sweeps need kind=symmetric-spatial")
     tasks = [(spec, vd, vr) for vd in spec.sweep.vd_values for vr in spec.sweep.vr_values]
     rows = run_tasks(_router_cell, tasks, spec.workers, _progress("table", len(tasks)))
     _emit(spec, ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
@@ -276,8 +258,8 @@ def _table_router_grid(spec: RunSpec) -> int:
 
 
 def _table_curves(spec: RunSpec) -> int:
-    cfg = replace(spec.source_config(), i_max=1)  # the table reads P_1 alone
-    unit_counts = spec.sweep.n_values or (spec.units,)
+    cfg = replace(spec.cfg, i_max=1)  # the table reads P_1 alone
+    unit_counts = spec.sweep.n_values or (cfg.units,)
     rows = []
     for units in unit_counts:
         for mean in spec.sweep.lambda_values:
@@ -289,11 +271,9 @@ def _table_curves(spec: RunSpec) -> int:
 
 def _scenario_cell(task: tuple) -> tuple:
     spec, vd, label, strategy, pair_kind, units = task
+    cfg = spec.cfg
     cfg = replace(
-        spec.source_config(),
-        detector=replace(spec.detector, efficiency=vd),
-        strategy=strategy,
-        dist=PairDistribution(pair_kind, spec.source.mean),
+        cfg, detector=replace(cfg.detector, efficiency=vd), strategy=strategy, dist=replace(cfg.dist, kind=pair_kind)
     )
     if units is None:
         result = optimize_units(cfg, spec.n_candidates)
@@ -307,8 +287,8 @@ def _table_scenarios(spec: RunSpec) -> int:
     if sweep.strategies:
         strategies = [(token, strategy_from_token(token)) for token in sweep.strategies]
     else:
-        strategies = [(spec.strategy.label, spec.strategy)]
-    pair_kinds = sweep.pair_kinds or (spec.source.kind,)
+        strategies = [(spec.cfg.strategy.label, spec.cfg.strategy)]
+    pair_kinds = sweep.pair_kinds or (spec.cfg.dist.kind,)
     unit_counts: tuple = sweep.n_values or (None,)
     tasks = [
         (spec, vd, label, strategy, pair_kind, units)
@@ -339,18 +319,17 @@ def main(argv: list[str] | None = None) -> int:
         if step is not None and spec.sweep.vd_values and spec.sweep.vr_values:
             # re-gridded axes must also show up in the provenance comments
             sweep = spec.sweep
-            spec = replace(
-                spec,
-                sweep=replace(
-                    sweep,
-                    vd_values=inclusive_range("--grid-step", sweep.vd_values[0], sweep.vd_values[-1], step),
-                    vr_values=inclusive_range("--grid-step", sweep.vr_values[0], sweep.vr_values[-1], step),
-                ),
+            sweep = replace(
+                sweep,
+                vd_values=inclusive_range("--grid-step", sweep.vd_values[0], sweep.vd_values[-1], step),
+                vr_values=inclusive_range("--grid-step", sweep.vr_values[0], sweep.vr_values[-1], step),
             )
+            spec = check_sweep(replace(spec, sweep=sweep))
         if args.dump_config:
             _write(spec, dump_config(spec))
             return EXIT_OK
-        return _DISPATCH[spec.command](spec)
+        with config_field():  # n_candidates and j_max are checked only by the commands that use them
+            return _DISPATCH[spec.command](spec)
     except ConfigError as exc:
         print(f"muxsps: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

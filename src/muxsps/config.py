@@ -1,19 +1,26 @@
 """Run configuration documents for the command-line front end.
 
 A run is described by an INI-style text with sections [source],
-[detector], [strategy], [multiplexer], [optimizer] and [sweep].  Unknown
-sections or keys are rejected.  ``dump_config`` writes the canonical form,
-which re-parses to an identical spec.
+[detector], [strategy], [multiplexer], [optimizer] and [sweep].  This
+module only parses: it turns text into typed values and rejects bad
+syntax and unknown sections or keys.  The library types and validators
+check every value, sweep values included; ``config_field`` turns their
+error into a ``ConfigError`` that names the document key.
+``dump_config`` writes the canonical form, which re-parses to an
+identical spec.
 """
 
 from __future__ import annotations
 
 import math
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from enum import Enum
+from typing import Iterator
 
 from .engine import DEFAULT_I_MAX, SourceConfig
-from .losses import KIND_PARAMS, MultiplexerModel, MuxKind
+from .losses import KIND_PARAMS, MultiplexerModel, MuxKind, validate_unit_count
 from .optimize import DEFAULT_J_MAX
 from .statistics import (
     DEFAULT_RESOLUTION_CAP,
@@ -22,6 +29,7 @@ from .statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
+    ParameterError,
 )
 
 _SECTION_KEYS = {
@@ -42,6 +50,22 @@ class ConfigError(ValueError):
         self.field_path = field_path
 
 
+@contextmanager
+def config_field(field_path: str | None = None) -> Iterator[None]:
+    """Raise a library ``ParameterError`` from the block as a ``ConfigError``.
+
+    The error names ``field_path``; by default, the document key that the
+    library parameter is read from.
+    """
+    try:
+        yield
+    except ParameterError as exc:
+        if field_path is None:
+            keys = (f"{section}.{exc.name}" for section, names in _SECTION_KEYS.items() if exc.name in names)
+            field_path = next(keys, exc.name)
+        raise ConfigError(field_path, exc.reason) from exc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes for the table and map commands."""
@@ -58,13 +82,7 @@ class SweepSpec:
 class RunSpec:
     """One resolved CLI run: scenario, optimizer settings, sweep, run context."""
 
-    source: PairDistribution
-    detector: DetectorModel
-    strategy: HeraldingStrategy
-    mux: MultiplexerModel
-    units: int
-    tail_tol: float = DEFAULT_TAIL_TOL
-    i_max: int = DEFAULT_I_MAX
+    cfg: SourceConfig
     n_candidates: tuple[int, ...] | None = None
     j_max: int = DEFAULT_J_MAX
     sweep: SweepSpec = field(default_factory=SweepSpec)
@@ -75,41 +93,36 @@ class RunSpec:
     mc_samples: int | None = None
     workers: int | None = None
 
-    def source_config(self) -> SourceConfig:
-        try:
-            return SourceConfig(
-                dist=self.source,
-                detector=self.detector,
-                strategy=self.strategy,
-                mux=self.mux,
-                units=self.units,
-                tail_tol=self.tail_tol,
-                i_max=self.i_max,
-            )
-        except ValueError as exc:
-            raise ConfigError("multiplexer.units", str(exc)) from exc
 
-
-def _parse_float(section: str, key: str, raw: str, lo: float | None = None, hi: float | None = None) -> float:
+def _parse_float(section: str, key: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", f"not a number: {raw!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        raise ConfigError(f"{section}.{key}", f"must be within [{lo}, {hi}], got {value}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str, lo: int | None = None) -> int:
+def _parse_int(section: str, key: str, raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", f"not an integer: {raw!r}") from exc
-    if lo is not None and value < lo:
-        raise ConfigError(f"{section}.{key}", f"must be >= {lo}, got {value}")
-    return value
+
+
+def _parse_enum(section: str, key: str, raw: str, kind: type[Enum]) -> Enum:
+    raw = raw.strip().lower()
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}", f"must be one of {[k.value for k in kind]}, got {raw!r}") from exc
+
+
+def _non_empty(section: str, key: str, values: tuple) -> tuple:
+    if not values:
+        raise ConfigError(f"{section}.{key}", "empty value list")
+    return values
 
 
 def inclusive_range(field_path: str, start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -128,46 +141,37 @@ def _parse_float_values(section: str, key: str, raw: str) -> tuple[float, ...]:
     if raw.count(":") == 2:
         start, stop, step = (_parse_float(section, key, part) for part in raw.split(":"))
         return inclusive_range(f"{section}.{key}", start, stop, step)
-    values = tuple(_parse_float(section, key, part) for part in raw.split(",") if part.strip())
-    if not values:
-        raise ConfigError(f"{section}.{key}", "empty value list")
+    values = _non_empty(section, key, tuple(_parse_float(section, key, part) for part in raw.split(",") if part.strip()))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{section}.{key}", "values must be strictly increasing")
     return values
 
 
 def _parse_int_values(section: str, key: str, raw: str) -> tuple[int, ...]:
-    values = tuple(_parse_int(section, key, part, lo=1) for part in raw.split(",") if part.strip())
-    if not values:
-        raise ConfigError(f"{section}.{key}", "empty value list")
-    return values
+    return _non_empty(section, key, tuple(_parse_int(section, key, part) for part in raw.split(",") if part.strip()))
 
 
 def _parse_candidates(section: str, key: str, raw: str) -> tuple[int, ...]:
     """Unit-count candidates: 'pow2:CAP', 'range:LO:HI', or a comma list."""
     raw = raw.strip()
     if raw.startswith("pow2:"):
-        cap = _parse_int(section, key, raw[5:], lo=1)
-        return tuple(2**k for k in range(cap.bit_length()) if 2**k <= cap)
+        cap = _parse_int(section, key, raw[5:])
+        return _non_empty(section, key, tuple(2**k for k in range(cap.bit_length()) if 2**k <= cap))
     if raw.startswith("range:"):
         parts = raw[6:].split(":")
         if len(parts) != 2:
             raise ConfigError(f"{section}.{key}", f"bad range {raw!r}")
-        lo = _parse_int(section, key, parts[0], lo=1)
-        hi = _parse_int(section, key, parts[1], lo=lo)
-        return tuple(range(lo, hi + 1))
+        lo, hi = (_parse_int(section, key, part) for part in parts)
+        return _non_empty(section, key, tuple(range(lo, hi + 1)))
     return _parse_int_values(section, key, raw)
 
 
-def _parse_strategy(section: str, key: str, raw: str) -> HeraldingStrategy:
+def _parse_strategy(raw: str) -> HeraldingStrategy:
     raw = raw.strip().lower()
     if raw == "all":
         return HeraldingStrategy.threshold()
-    try:
-        counts = frozenset(int(part) for part in raw.split(",") if part.strip())
-        return HeraldingStrategy(accepted=counts)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", str(exc)) from exc
+    counts = frozenset(_parse_int("strategy", "accepted", part) for part in raw.split(",") if part.strip())
+    return HeraldingStrategy(accepted=counts)
 
 
 def strategy_from_token(token: str) -> HeraldingStrategy:
@@ -178,11 +182,28 @@ def strategy_from_token(token: str) -> HeraldingStrategy:
     raise ConfigError("sweep.strategies", f"unknown strategy token {token!r}")
 
 
+def check_sweep(spec: RunSpec) -> RunSpec:
+    """The spec, once the library has checked its sweep values."""
+    cfg, sweep = spec.cfg, spec.sweep
+    checks = (
+        ("sweep.n_values", sweep.n_values, lambda n: validate_unit_count(cfg.mux, n)),
+        ("sweep.vd_values", sweep.vd_values, lambda v: replace(cfg.detector, efficiency=v)),
+        ("sweep.vr_values", sweep.vr_values, lambda v: replace(cfg.mux, router_transmission=v)),
+        ("sweep.lambda_values", sweep.lambda_values, lambda v: replace(cfg.dist, mean=v)),
+    )
+    for field_path, values, check in checks:
+        with config_field(field_path):
+            for value in values:
+                check(value)
+    return spec
+
+
 def parse_config(text: str, **run_context) -> RunSpec:
     """Parse a configuration document into a RunSpec.
 
     ``run_context`` passes through the flag-supplied fields (command,
-    out_path, seed, mc_samples, workers).
+    out_path, seed, mc_samples, workers).  The optimizer's ``n_candidates``
+    and ``j_max`` are checked by the commands that use them.
     """
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -208,58 +229,37 @@ def parse_config(text: str, **run_context) -> RunSpec:
             raise ConfigError(f"{section}.{key}", "missing required key")
         return value
 
-    kind_raw = require("source", "kind").strip().lower()
-    try:
-        pair_kind = PairKind(kind_raw)
-    except ValueError as exc:
-        raise ConfigError("source.kind", f"must be one of {[k.value for k in PairKind]}, got {kind_raw!r}") from exc
-    try:
-        source = PairDistribution(pair_kind, _parse_float("source", "mean", require("source", "mean"), lo=0.0))
-    except ValueError as exc:
-        raise ConfigError("source.mean", str(exc)) from exc
-
-    try:
-        detector = DetectorModel(
-            efficiency=_parse_float("detector", "efficiency", require("detector", "efficiency"), 0.0, 1.0),
-            resolution_cap=_parse_int("detector", "resolution_cap", get("detector", "resolution_cap", str(DEFAULT_RESOLUTION_CAP)), lo=1),
+    with config_field():
+        source = PairDistribution(
+            _parse_enum("source", "kind", require("source", "kind"), PairKind),
+            _parse_float("source", "mean", require("source", "mean")),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("detector", str(exc)) from exc
-
-    strategy = _parse_strategy("strategy", "accepted", require("strategy", "accepted"))
-
-    mux_kind_raw = require("multiplexer", "kind").strip().lower()
-    try:
-        mux_kind = MuxKind(mux_kind_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            "multiplexer.kind", f"must be one of {[k.value for k in MuxKind]}, got {mux_kind_raw!r}"
-        ) from exc
-    mux_kwargs: dict[str, float | int] = {}
-    for key in ("generic_transmission", *KIND_PARAMS):
-        raw = get("multiplexer", key)
+        detector = DetectorModel(
+            _parse_float("detector", "efficiency", require("detector", "efficiency")),
+            _parse_int("detector", "resolution_cap", get("detector", "resolution_cap", str(DEFAULT_RESOLUTION_CAP))),
+        )
+        strategy = _parse_strategy(require("strategy", "accepted"))
+        mux_kind = _parse_enum("multiplexer", "kind", require("multiplexer", "kind"), MuxKind)
+        mux_kwargs: dict[str, float | int] = {
+            key: _parse_float("multiplexer", key, raw)
+            for key in ("generic_transmission", *KIND_PARAMS)
+            if (raw := get("multiplexer", key)) is not None
+        }
+        raw = get("multiplexer", "min_cycles")
         if raw is not None:
-            mux_kwargs[key] = _parse_float("multiplexer", key, raw, 0.0, 1.0)
-    raw = get("multiplexer", "min_cycles")
-    if raw is not None:
-        mux_kwargs["min_cycles"] = _parse_int("multiplexer", "min_cycles", raw, lo=0)
-    try:
-        mux = MultiplexerModel(kind=mux_kind, **mux_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("multiplexer", str(exc)) from exc
-    units = _parse_int("multiplexer", "units", require("multiplexer", "units"), lo=1)
-
-    tail_tol = _parse_float("optimizer", "tail_tol", get("optimizer", "tail_tol", repr(DEFAULT_TAIL_TOL)))
-    if not 0.0 < tail_tol <= 1e-6:
-        raise ConfigError("optimizer.tail_tol", f"must be in (0, 1e-6], got {tail_tol}")
-    i_max = _parse_int("optimizer", "i_max", get("optimizer", "i_max", str(DEFAULT_I_MAX)), lo=1)
+            mux_kwargs["min_cycles"] = _parse_int("multiplexer", "min_cycles", raw)
+        cfg = SourceConfig(
+            dist=source,
+            detector=detector,
+            strategy=strategy,
+            mux=MultiplexerModel(kind=mux_kind, **mux_kwargs),
+            units=_parse_int("multiplexer", "units", require("multiplexer", "units")),
+            tail_tol=_parse_float("optimizer", "tail_tol", get("optimizer", "tail_tol", repr(DEFAULT_TAIL_TOL))),
+            i_max=_parse_int("optimizer", "i_max", get("optimizer", "i_max", str(DEFAULT_I_MAX))),
+        )
     raw = get("optimizer", "n_candidates")
     n_candidates = _parse_candidates("optimizer", "n_candidates", raw) if raw is not None else None
-    j_max = _parse_int("optimizer", "j_max", get("optimizer", "j_max", str(DEFAULT_J_MAX)), lo=1)
-    if j_max > detector.resolution_cap:
-        raise ConfigError("optimizer.j_max", f"exceeds detector.resolution_cap={detector.resolution_cap}")
+    j_max = _parse_int("optimizer", "j_max", get("optimizer", "j_max", str(DEFAULT_J_MAX)))
 
     sweep_kwargs: dict = {}
     for key, parse in (
@@ -279,36 +279,12 @@ def parse_config(text: str, **run_context) -> RunSpec:
         sweep_kwargs["strategies"] = tokens
     raw = get("sweep", "pair_kinds")
     if raw is not None:
-        try:
-            sweep_kwargs["pair_kinds"] = tuple(
-                PairKind(part.strip().lower()) for part in raw.split(",") if part.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError("sweep.pair_kinds", str(exc)) from exc
+        sweep_kwargs["pair_kinds"] = tuple(
+            _parse_enum("sweep", "pair_kinds", part, PairKind) for part in raw.split(",") if part.strip()
+        )
 
-    for axis in ("vd_values", "vr_values"):
-        for value in sweep_kwargs.get(axis, ()):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"sweep.{axis}", f"values must be within [0, 1], got {value}")
-
-    spec = RunSpec(
-        source=source,
-        detector=detector,
-        strategy=strategy,
-        mux=mux,
-        units=units,
-        tail_tol=tail_tol,
-        i_max=i_max,
-        n_candidates=n_candidates,
-        j_max=j_max,
-        sweep=SweepSpec(**sweep_kwargs),
-        **run_context,
-    )
-    try:
-        strategy.validate_for(detector)
-    except ValueError as exc:
-        raise ConfigError("strategy.accepted", str(exc)) from exc
-    return spec
+    spec = RunSpec(cfg=cfg, n_candidates=n_candidates, j_max=j_max, sweep=SweepSpec(**sweep_kwargs), **run_context)
+    return check_sweep(spec)
 
 
 def format_value(value) -> str:
@@ -320,24 +296,25 @@ def format_value(value) -> str:
 
 def dump_config(spec: RunSpec) -> str:
     """Canonical document form of a RunSpec; re-parses to an identical spec."""
+    cfg = spec.cfg
     lines: list[str] = []
-    lines += ["[source]", f"kind = {spec.source.kind.value}", f"mean = {format_value(spec.source.mean)}", ""]
+    lines += ["[source]", f"kind = {cfg.dist.kind.value}", f"mean = {format_value(cfg.dist.mean)}", ""]
     lines += [
         "[detector]",
-        f"efficiency = {format_value(spec.detector.efficiency)}",
-        f"resolution_cap = {spec.detector.resolution_cap}",
+        f"efficiency = {format_value(cfg.detector.efficiency)}",
+        f"resolution_cap = {cfg.detector.resolution_cap}",
         "",
     ]
-    lines += ["[strategy]", f"accepted = {spec.strategy.label}", ""]
+    lines += ["[strategy]", f"accepted = {cfg.strategy.label}", ""]
     lines.append("[multiplexer]")
-    lines.append(f"kind = {spec.mux.kind.value}")
-    lines.append(f"units = {spec.units}")
-    for name, value in spec.mux.param_items():
+    lines.append(f"kind = {cfg.mux.kind.value}")
+    lines.append(f"units = {cfg.units}")
+    for name, value in cfg.mux.param_items():
         lines.append(f"{name} = {format_value(value)}")
     lines.append("")
     lines.append("[optimizer]")
-    lines.append(f"tail_tol = {format_value(spec.tail_tol)}")
-    lines.append(f"i_max = {spec.i_max}")
+    lines.append(f"tail_tol = {format_value(cfg.tail_tol)}")
+    lines.append(f"i_max = {cfg.i_max}")
     if spec.n_candidates is not None:
         lines.append("n_candidates = " + ",".join(str(n) for n in spec.n_candidates))
     lines.append(f"j_max = {spec.j_max}")

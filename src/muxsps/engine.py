@@ -29,6 +29,7 @@ from .statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
+    ParameterError,
     binomial_coefficients,
     herald_weights,
     pmf_array,
@@ -55,9 +56,9 @@ class SourceConfig:
     def __post_init__(self) -> None:
         validate_unit_count(self.mux, self.units)
         if not 0.0 < self.tail_tol <= 1e-6:
-            raise ValueError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
+            raise ParameterError("tail_tol", f"must be in (0, 1e-6], got {self.tail_tol}")
         if self.i_max < 1:
-            raise ValueError(f"i_max must be >= 1, got {self.i_max}")
+            raise ParameterError("i_max", f"must be >= 1, got {self.i_max}")
         self.strategy.validate_for(self.detector)
 
 

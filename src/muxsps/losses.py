@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .statistics import ParameterError
+
 
 class MuxKind(str, Enum):
     SYMMETRIC_SPATIAL = "symmetric-spatial"
@@ -42,13 +44,6 @@ KIND_PARAMS = (
     "pbs_reflection",
     "propagation_transmission",
 )
-
-
-def hamming_weight(x: int) -> int:
-    """Number of ones in the binary representation of a non-negative integer."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return int(x).bit_count()
 
 
 def is_power_of_two(n: int) -> bool:
@@ -79,27 +74,20 @@ class MultiplexerModel:
         if not isinstance(self.kind, MuxKind):
             object.__setattr__(self, "kind", MuxKind(self.kind))
         required = _REQUIRED[self.kind]
-        for name in required:
+        for name in ("generic_transmission", *KIND_PARAMS):
             value = getattr(self, name)
             if value is None:
-                raise ValueError(f"{name} is required for kind={self.kind.value}")
-        for name in KIND_PARAMS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name not in required:
-                raise ValueError(f"{name} does not apply to kind={self.kind.value}")
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
-        if not (0.0 <= self.generic_transmission <= 1.0):
-            raise ValueError(
-                f"generic_transmission must be within [0, 1], got {self.generic_transmission}"
-            )
+                if name in required:
+                    raise ParameterError(name, f"is required for kind={self.kind.value}")
+            elif not 0.0 <= value <= 1.0:
+                raise ParameterError(name, f"must be within [0, 1], got {value}")
+            elif name not in ("generic_transmission", *required):
+                raise ParameterError(name, f"does not apply to kind={self.kind.value}")
         if self.kind is MuxKind.TIME_LOOP_LATEST:
             if self.min_cycles not in (0, 1):
-                raise ValueError(f"min_cycles must be 0 or 1, got {self.min_cycles}")
+                raise ParameterError("min_cycles", f"must be 0 or 1, got {self.min_cycles}")
         elif self.min_cycles != 1:
-            raise ValueError(f"min_cycles only applies to kind={MuxKind.TIME_LOOP_LATEST.value}")
+            raise ParameterError("min_cycles", f"only applies to kind={MuxKind.TIME_LOOP_LATEST.value}")
 
     @classmethod
     def symmetric_spatial(
@@ -164,45 +152,43 @@ class MultiplexerModel:
         return items
 
 
-def validate_unit_count(model: MultiplexerModel, units: int) -> None:
-    """Raise ValueError unless ``units`` is a valid unit count for ``model``."""
+def validate_unit_count(model: MultiplexerModel, units: int, name: str = "units") -> None:
+    """Raise ParameterError, naming ``name``, unless ``units`` is a valid unit count for ``model``."""
     if units < 1:
-        raise ValueError(f"unit count must be >= 1, got {units}")
+        raise ParameterError(name, f"must be >= 1, got {units}")
     if model.requires_power_of_two and not is_power_of_two(units):
-        raise ValueError(f"kind={model.kind.value} needs a power-of-2 unit count, got {units}")
-
-
-def unit_transmission(model: MultiplexerModel, n: int, units: int) -> float:
-    """Total transmission from unit n to the output of an ``units``-unit network."""
-    validate_unit_count(model, units)
-    if not 1 <= n <= units:
-        raise ValueError(f"need 1 <= n <= units, got n={n}, units={units}")
-    base = model.generic_transmission
-    if model.kind is MuxKind.SYMMETRIC_SPATIAL:
-        levels = units.bit_length() - 1
-        return base * model.router_transmission**levels
-    if model.kind is MuxKind.TIME_CHAIN:
-        return base * model.cycle_transmission ** (units - n)
-    if model.kind is MuxKind.TIME_LOOP_LATEST:
-        return base * model.cycle_transmission ** (n - 1 + model.min_cycles)
-    # binary bulk time: reflected into one delay line per set bit of the
-    # delay, transmitted through the remaining stages, plus propagation
-    # loss proportional to the delay fraction
-    delay = units - n
-    levels = units.bit_length() - 1
-    reflections = hamming_weight(delay)
-    return (
-        base
-        * model.pbs_reflection**reflections
-        * model.pbs_transmission ** (levels - reflections)
-        * model.propagation_transmission ** (delay / units)
-    )
+        raise ParameterError(name, f"must be a power of 2 for kind={model.kind.value}, got {units}")
 
 
 @lru_cache(maxsize=256)
 def unit_transmissions(model: MultiplexerModel, units: int) -> np.ndarray:
-    """Read-only vector of unit transmissions for n = 1..units."""
-    values = np.array([unit_transmission(model, n, units) for n in range(1, units + 1)])
-    values.setflags(write=False)
-    return values
+    """Read-only vector of the total transmissions from unit n = 1..units to the output.
 
+    Python float powers, not numpy's vector power, which can differ in the
+    last bit.
+    """
+    validate_unit_count(model, units)
+    base = model.generic_transmission
+    levels = units.bit_length() - 1
+    if model.kind is MuxKind.SYMMETRIC_SPATIAL:
+        values = [base * model.router_transmission**levels] * units
+    elif model.kind is MuxKind.TIME_CHAIN:
+        values = [base * model.cycle_transmission ** (units - n) for n in range(1, units + 1)]
+    elif model.kind is MuxKind.TIME_LOOP_LATEST:
+        values = [base * model.cycle_transmission ** (n - 1 + model.min_cycles) for n in range(1, units + 1)]
+    else:
+        # binary bulk time: reflected into one delay line per set bit of the
+        # delay units - n, transmitted through the remaining stages, plus
+        # propagation loss proportional to the delay fraction
+        values = []
+        for delay in range(units - 1, -1, -1):
+            reflections = delay.bit_count()
+            values.append(
+                base
+                * model.pbs_reflection**reflections
+                * model.pbs_transmission ** (levels - reflections)
+                * model.propagation_transmission ** (delay / units)
+            )
+    array = np.array(values)
+    array.setflags(write=False)
+    return array

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .engine import SourceConfig, p1_profile, profile_lanes
-from .losses import MultiplexerModel, MuxKind
-from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind
+from .losses import MultiplexerModel, MuxKind, validate_unit_count
+from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 20.0
@@ -157,12 +157,15 @@ def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...
 
 
 def _unit_candidates(cfg_template: SourceConfig, n_candidates: Iterable[int] | None) -> tuple[int, ...]:
-    if n_candidates is None or cfg_template.mux.kind is MuxKind.TIME_LOOP_LATEST:
-        return default_unit_candidates(cfg_template.mux, cfg_template.units)
-    candidates = tuple(sorted(set(int(n) for n in n_candidates)))
-    if not candidates:
-        raise ValueError("n_candidates must be non-empty")
-    return candidates
+    if n_candidates is not None:
+        candidates = tuple(sorted(set(int(n) for n in n_candidates)))
+        if not candidates:
+            raise ParameterError("n_candidates", "must be non-empty")
+        for units in candidates:
+            validate_unit_count(cfg_template.mux, units, "n_candidates")
+        if cfg_template.mux.kind is not MuxKind.TIME_LOOP_LATEST:
+            return candidates
+    return default_unit_candidates(cfg_template.mux, cfg_template.units)
 
 
 def _best_on_curve(cfg_template: SourceConfig, curve: tuple[CurvePoint, ...]) -> OptimizationResult:
@@ -197,8 +200,8 @@ def optimize_strategy(
     smaller unit count.
     """
     if not 1 <= j_max <= cfg_template.detector.resolution_cap:
-        raise ValueError(
-            f"j_max must be within [1, resolution_cap={cfg_template.detector.resolution_cap}], got {j_max}"
+        raise ParameterError(
+            "j_max", f"must be within [1, resolution_cap={cfg_template.detector.resolution_cap}], got {j_max}"
         )
     candidates = _unit_candidates(cfg_template, n_candidates)
     cutoffs = [HeraldingStrategy.up_to(j) for j in range(1, j_max + 1)]
@@ -247,20 +250,20 @@ def _map_cell(
     tail_tol: float,
     i_max: int,
     resolution_cap: int,
-    make_mux: Callable[[float], MultiplexerModel],
 ) -> tuple[OptimizationResult, StrategyScanResult]:
-    """Threshold optimum and cutoff scan at one (V_D, V_r) cell."""
+    """Threshold optimum and cutoff scan at one (V_D, V_r) cell of a symmetric tree."""
     vd, vr = cell
     template = SourceConfig(
         dist=PairDistribution(PairKind.POISSONIAN, 0.5),
         detector=DetectorModel(vd, resolution_cap),
         strategy=HeraldingStrategy.threshold(),
-        mux=make_mux(vr),
+        mux=MultiplexerModel.symmetric_spatial(vr),
         units=1,
         tail_tol=tail_tol,
         i_max=i_max,
     )
-    return optimize_units(template, candidates), optimize_strategy(template, j_max, candidates)
+    scan = optimize_strategy(template, j_max, candidates)  # first: a bad j_max fails before any search
+    return optimize_units(template, candidates), scan
 
 
 def comparison_map(
@@ -272,24 +275,19 @@ def comparison_map(
     tail_tol: float = 1e-12,
     i_max: int = 8,
     resolution_cap: int = 10,
-    make_mux: Callable[[float], MultiplexerModel] | None = None,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> ComparisonMap:
-    """Compare heralding modes cell by cell over a loss-parameter grid.
+    """Compare heralding modes cell by cell over a (V_D, V_r) grid.
 
-    ``make_mux`` builds the multiplexer from the second-axis value (the
-    default is a symmetric spatial tree with that router transmission; a
-    custom callable must be module-level when workers > 1 so it pickles).
-    Cells are independent and come back in grid order, so the map is
-    identical for any worker count.
+    V_D is the detector efficiency and V_r the router transmission of a
+    symmetric spatial tree.  Cells are independent and come back in grid
+    order, so the map is identical for any worker count.
     """
     axis_vd = np.asarray(list(grid_vd), dtype=float)
     axis_vr = np.asarray(list(grid_vr), dtype=float)
     if axis_vd.size == 0 or axis_vr.size == 0:
         raise ValueError("grids must be non-empty")
-    if np.any((axis_vd < 0) | (axis_vd > 1)) or np.any((axis_vr < 0) | (axis_vr > 1)):
-        raise ValueError("grid values must be within [0, 1]")
     cell_fn = partial(
         _map_cell,
         j_max=j_max,
@@ -297,7 +295,6 @@ def comparison_map(
         tail_tol=tail_tol,
         i_max=i_max,
         resolution_cap=resolution_cap,
-        make_mux=make_mux or MultiplexerModel.symmetric_spatial,
     )
     cells = [(float(vd), float(vr)) for vd in axis_vd for vr in axis_vr]
     results = run_tasks(cell_fn, cells, workers, progress)

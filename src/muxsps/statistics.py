@@ -23,6 +23,21 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_RESOLUTION_CAP = 10
 
 
+class ParameterError(ValueError):
+    """An invalid model parameter, raised by the library's invariant checks.
+
+    ``name`` and ``reason`` are kept apart, so a caller can report the
+    parameter under its own name.
+    """
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(name, reason)  # both in args, so the error pickles
+        self.name, self.reason = name, reason
+
+    def __str__(self) -> str:
+        return f"{self.name} {self.reason}"
+
+
 class PairKind(str, Enum):
     """Number statistics of the generated photon pairs."""
 
@@ -44,7 +59,7 @@ class PairDistribution:
         if not isinstance(self.kind, PairKind):
             object.__setattr__(self, "kind", PairKind(self.kind))
         if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise ValueError(f"mean must be a finite non-negative real, got {self.mean}")
+            raise ParameterError("mean", f"must be a finite non-negative real, got {self.mean}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +75,9 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must be within [0, 1], got {self.efficiency}")
+            raise ParameterError("efficiency", f"must be within [0, 1], got {self.efficiency}")
         if self.resolution_cap < 1:
-            raise ValueError(f"resolution_cap must be >= 1, got {self.resolution_cap}")
+            raise ParameterError("resolution_cap", f"must be >= 1, got {self.resolution_cap}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +96,9 @@ class HeraldingStrategy:
             return
         acc = frozenset(int(j) for j in self.accepted)
         if not acc:
-            raise ValueError("accepted set must be non-empty (use threshold() for any-click heralding)")
+            raise ParameterError("accepted", "must be non-empty (use threshold() for any-click heralding)")
         if min(acc) < 1:
-            raise ValueError(f"accepted counts must all be >= 1, got {sorted(acc)}")
+            raise ParameterError("accepted", f"counts must all be >= 1, got {sorted(acc)}")
         object.__setattr__(self, "accepted", acc)
 
     @classmethod
@@ -100,7 +115,7 @@ class HeraldingStrategy:
     def up_to(cls, max_accepted: int) -> HeraldingStrategy:
         """Detected counts 1..max_accepted all herald."""
         if max_accepted < 1:
-            raise ValueError(f"max_accepted must be >= 1, got {max_accepted}")
+            raise ParameterError("max_accepted", f"must be >= 1, got {max_accepted}")
         return cls(accepted=frozenset(range(1, max_accepted + 1)))
 
     @property
@@ -117,9 +132,9 @@ class HeraldingStrategy:
     def validate_for(self, detector: DetectorModel) -> None:
         """Raise if the accepted set exceeds the detector's resolution."""
         if self.accepted is not None and max(self.accepted) > detector.resolution_cap:
-            raise ValueError(
-                f"accepted set reaches {max(self.accepted)} but the detector resolves "
-                f"at most {detector.resolution_cap} photons"
+            raise ParameterError(
+                "accepted",
+                f"set reaches {max(self.accepted)} but the detector resolves at most {detector.resolution_cap} photons",
             )
 
 
@@ -151,12 +166,12 @@ def pmf_array(kind: PairKind, means, l_max: int) -> np.ndarray:
 def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Pair-count cutoff L with ``pmf_array(dist.kind, dist.mean, L).sum() >= 1 - tail_tol``.
 
+    ``tail_tol`` must be > 0, as ``SourceConfig`` ensures.
+
     The series stops once the exact tail is below 0.99 * tail_tol: when
     the exact tail only just meets tail_tol, the rounded float sum can
     fall an ulp or so short of 1 - tail_tol.
     """
-    if tail_tol <= 0.0:
-        raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     mean = dist.mean
     if mean == 0.0:
         return 0

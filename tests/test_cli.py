@@ -1,5 +1,6 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -125,6 +126,36 @@ class TestExitCodes:
         assert status == 2
         assert "--config" in err or "--preset" in err
 
+    @pytest.mark.parametrize(
+        "command, text, field_path",
+        [
+            (["optimize"], MINIMAL + "\n[optimizer]\nn_candidates = 1,3\n", "optimizer.n_candidates"),
+            (["table"], MINIMAL + "\n[sweep]\nn_values = 3\nlambda_values = 0.2\n", "sweep.n_values"),
+            (["table"], MINIMAL + "\n[sweep]\nlambda_values = -0.1,0.2\n", "sweep.lambda_values"),
+            (["evaluate"], MINIMAL.replace("mean = 0.45", "mean = -1"), "source.mean"),
+            (["evaluate"], MINIMAL.replace("mean = 0.45", "mean = abc"), "source.mean"),
+            (["evaluate", "--dump-config"], MINIMAL.replace("units = 16", "units = 12"), "multiplexer.units"),
+        ],
+        ids=["tree-n_candidates", "tree-n_values", "negative-lambda_values", "negative-mean", "text-mean", "tree-units"],
+    )
+    def test_invalid_value_names_one_field(self, command, text, field_path, tmp_path, capsys):
+        path = write_config(tmp_path, text)
+        status, out, err = run_cli([*command, "--config", path, "--workers", "1"], capsys)
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "config error:" in line]
+        fields = re.findall(r"\b(?:source|detector|strategy|multiplexer|optimizer|sweep)\.\w+", line)
+        assert fields == [field_path]
+
+    def test_j_max_checked_only_by_cutoff_scans(self, tmp_path, capsys):
+        text = MINIMAL.replace("efficiency = 0.95", "efficiency = 0.95\nresolution_cap = 3")
+        path = write_config(tmp_path, text + "\n[optimizer]\nn_candidates = 1,2\n")
+        assert run_cli(["evaluate", "--config", path], capsys)[0] == 0
+        status, _, err = run_cli(["strategy-scan", "--config", path, "--workers", "1"], capsys)
+        assert status == 2
+        assert "optimizer.j_max" in err
+
     def test_unknown_preset_is_2(self, capsys):
         status, _, err = run_cli(["evaluate", "--preset", "nope"], capsys)
         assert status == 2
@@ -169,13 +200,13 @@ class TestDumpConfig:
         status, out, _ = run_cli(["evaluate", "--config", path, "--dump-config"], capsys)
         assert status == 0
         spec = parse_config(out, command="evaluate")
-        assert spec.detector.efficiency == 0.95
+        assert spec.cfg.detector.efficiency == 0.95
 
     def test_preset_dump_reparses(self, capsys):
         status, out, _ = run_cli(["table", "--preset", "btm", "--dump-config"], capsys)
         assert status == 0
         spec = parse_config(out, command="table")
-        assert spec.mux.kind.value == "binary-bulk-time"
+        assert spec.cfg.mux.kind.value == "binary-bulk-time"
 
 
 class TestOptimizeCommand:

@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muxsps.losses import (
-    MultiplexerModel,
-    MuxKind,
-    hamming_weight,
-    unit_transmission,
-    unit_transmissions,
-)
+from muxsps.losses import MultiplexerModel, MuxKind, unit_transmissions
 from references import transmit_conditional
 
 
@@ -33,50 +27,32 @@ def binary_delay_path(delay: int, units: int, pbs_t: float, pbs_r: float, prop: 
     return value
 
 
-class TestHammingWeight:
-    def test_zero(self):
-        assert hamming_weight(0) == 0
-
-    def test_small_values(self):
-        assert hamming_weight(3) == 2
-        assert hamming_weight(12) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            hamming_weight(-1)
-
-    @given(x=st.integers(0, 2**40))
-    def test_matches_bit_string(self, x):
-        assert hamming_weight(x) == bin(x).count("1")
-
-
 class TestUnitTransmission:
     def test_symmetric_tree_is_router_power(self):
         mux = MultiplexerModel.symmetric_spatial(0.98)
-        for n in range(1, 17):
-            assert unit_transmission(mux, n, 16) == pytest.approx(0.98**4, rel=1e-14)
+        assert unit_transmissions(mux, 16) == pytest.approx([0.98**4] * 16, rel=1e-14)
 
     def test_single_unit_tree_has_no_routers(self):
         mux = MultiplexerModel.symmetric_spatial(0.3)
-        assert unit_transmission(mux, 1, 1) == 1.0
+        assert unit_transmissions(mux, 1)[0] == 1.0
 
     def test_lossless_loop(self):
         mux = MultiplexerModel.time_chain(1.0)
-        assert unit_transmission(mux, 3, 7) == 1.0
+        assert unit_transmissions(mux, 7)[2] == 1.0
 
     def test_chain_counts_remaining_slots(self):
         mux = MultiplexerModel.time_chain(0.9, generic_transmission=0.8)
-        assert unit_transmission(mux, 2, 5) == pytest.approx(0.8 * 0.9**3, rel=1e-14)
+        assert unit_transmissions(mux, 5)[1] == pytest.approx(0.8 * 0.9**3, rel=1e-14)
 
     def test_loop_latest_counts_priority_cycles(self):
         mux = MultiplexerModel.time_loop_latest(0.9, generic_transmission=0.8)
-        assert unit_transmission(mux, 2, 5) == pytest.approx(0.8 * 0.9**2, rel=1e-14)
+        assert unit_transmissions(mux, 5)[1] == pytest.approx(0.8 * 0.9**2, rel=1e-14)
         zero_pass = MultiplexerModel.time_loop_latest(0.9, generic_transmission=0.8, min_cycles=0)
-        assert unit_transmission(zero_pass, 2, 5) == pytest.approx(0.8 * 0.9, rel=1e-14)
+        assert unit_transmissions(zero_pass, 5)[1] == pytest.approx(0.8 * 0.9, rel=1e-14)
 
     def test_binary_delay_against_path_walk(self):
         mux = MultiplexerModel.binary_bulk_time(0.97, 0.996, 0.95, generic_transmission=0.996)
-        got = unit_transmission(mux, 1, 4)  # delay 3: both stages reflective
+        got = unit_transmissions(mux, 4)[0]  # delay 3: both stages reflective
         want = binary_delay_path(3, 4, 0.97, 0.996, 0.95, 0.996)
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(0.9507595999523232, rel=1e-12)
@@ -86,21 +62,21 @@ class TestUnitTransmission:
         if n > units:
             return
         mux = MultiplexerModel.binary_bulk_time(0.9, 0.95, 0.85, generic_transmission=0.99)
-        got = unit_transmission(mux, n, units)
+        got = unit_transmissions(mux, units)[n - 1]
         assert got == pytest.approx(binary_delay_path(units - n, units, 0.9, 0.95, 0.85, 0.99), rel=1e-12)
 
     def test_binary_delay_zero_delay_is_all_transmissive(self):
         mux = MultiplexerModel.binary_bulk_time(0.9, 0.95, 0.85, generic_transmission=0.99)
-        assert unit_transmission(mux, 16, 16) == pytest.approx(0.99 * 0.9**4, rel=1e-14)
+        assert unit_transmissions(mux, 16)[15] == pytest.approx(0.99 * 0.9**4, rel=1e-14)
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
-            unit_transmission(MultiplexerModel.symmetric_spatial(0.9), 1, 12)
+            unit_transmissions(MultiplexerModel.symmetric_spatial(0.9), 12)
         with pytest.raises(ValueError):
-            unit_transmission(MultiplexerModel.binary_bulk_time(0.9, 0.9, 0.9), 1, 6)
+            unit_transmissions(MultiplexerModel.binary_bulk_time(0.9, 0.9, 0.9), 6)
 
     def test_chain_allows_any_unit_count(self):
-        assert unit_transmission(MultiplexerModel.time_chain(0.9), 1, 12) > 0
+        assert unit_transmissions(MultiplexerModel.time_chain(0.9), 12)[0] > 0
 
     @given(cycle=st.floats(0.0, 1.0), units=st.integers(1, 40))
     @settings(max_examples=40)
@@ -109,11 +85,6 @@ class TestUnitTransmission:
         loop = unit_transmissions(MultiplexerModel.time_loop_latest(cycle), units)
         assert np.all(np.diff(chain) >= -1e-15)  # chain favors late slots
         assert np.all(np.diff(loop) <= 1e-15)  # release-latest favors early priority
-
-    def test_vector_matches_scalar(self):
-        mux = MultiplexerModel.binary_bulk_time(0.97, 0.996, 0.95, generic_transmission=0.996)
-        vec = unit_transmissions(mux, 8)
-        assert vec == pytest.approx([unit_transmission(mux, n, 8) for n in range(1, 9)], rel=1e-15)
 
 
 class TestModelValidation:

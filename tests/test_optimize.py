@@ -120,6 +120,11 @@ class TestOptimizeUnits:
         with pytest.raises(ValueError):
             optimize_units(cfg, n_candidates=[])
 
+    def test_invalid_candidate_rejected(self):
+        cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
+        with pytest.raises(ValueError, match="n_candidates"):
+            optimize_units(cfg, n_candidates=[0, 1, 2])
+
     def test_known_tree_optimum(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
         result = optimize_units(cfg)

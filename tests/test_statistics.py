@@ -6,6 +6,7 @@ over individual photon fates.
 """
 
 import math
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from muxsps.statistics import (
     HeraldingStrategy,
     PairDistribution,
     PairKind,
+    ParameterError,
     herald_weights,
     log_factorials,
     pmf_array,
@@ -260,6 +262,14 @@ class TestStrategyValidation:
     def test_labels(self):
         assert HeraldingStrategy.threshold().label == "all"
         assert HeraldingStrategy.up_to(3).label == "1,2,3"
+
+
+def test_parameter_error_survives_pickle():
+    # errors from worker processes come back pickled
+    with pytest.raises(ParameterError) as info:
+        PairDistribution(PairKind.POISSONIAN, -1.0)
+    again = pickle.loads(pickle.dumps(info.value))
+    assert (again.name, again.reason, str(again)) == ("mean", info.value.reason, str(info.value))
 
 
 def test_import_leaves_out_scipy():
