@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Generate the heralding-mode comparison maps over the loss-parameter plane.
 
-The full 0.01-step map (71 x 71 cells, each with a full unit-count and
-cutoff scan) took 34 s with --workers 2 (70 s with one) on a 2-vCPU VM;
-the default step of 0.05 takes about 3 s and is enough to see the structure.
+The full 0.01-step map (71 x 71 cells, each one pump-mean search over
+the threshold and cutoff lanes of every unit count) took 27 s with
+--workers 2 (about 45 s with one) on a 2-vCPU VM; the default step of
+0.05 takes about 2 s and is enough to see the structure.
 
 Usage:
     python scripts/make_maps.py [--step 0.05] [--out out/maps.csv] [--workers K]

@@ -18,6 +18,7 @@ from .optimize import (
     StrategyScanResult,
     comparison_map,
     maximize_over_lambda,
+    optimize_strategies,
     optimize_strategy,
     optimize_units,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "StrategyScanResult",
     "comparison_map",
     "maximize_over_lambda",
+    "optimize_strategies",
     "optimize_strategy",
     "optimize_units",
     "output_distribution",

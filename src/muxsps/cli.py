@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, dump_config, flatten_config, format_value, inclusive_range, parse_config, strategy_from_token
+from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, dump_config, flatten_config, format_value, inclusive_range, parse_config
 from .engine import OutputDistribution, SourceConfig, output_distribution
-from .optimize import comparison_map, optimize_strategy, optimize_units, run_tasks
+from .optimize import comparison_map, maximize_over_lambda, optimize_strategies, optimize_strategy, optimize_units, run_tasks
 from .simulate import simulate
 
 EXIT_OK = 0
@@ -53,14 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
             "--preset", metavar="NAME", help=f"shipped scenario, one of: {', '.join(sorted(PRESETS))}"
         )
         p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--workers", type=int, metavar="K", default=os.cpu_count(), help="parallel workers (default: all cores)")
-        p.add_argument("--seed", type=int, metavar="U64", default=0, help="random seed for stochastic checks")
-        p.add_argument(
-            "--mc-check",
-            type=int,
-            metavar="SAMPLES",
-            help="also sample the pipeline and report the worst deviation in standard errors",
-        )
+        if command in ("map", "table"):
+            p.add_argument(
+                "--workers", type=int, metavar="K", default=os.cpu_count(), help="parallel workers (default: all cores)"
+            )
+        if command in ("evaluate", "optimize"):
+            p.add_argument("--seed", type=int, metavar="U64", default=0, help="random seed for stochastic checks")
+            p.add_argument(
+                "--mc-check",
+                type=int,
+                metavar="SAMPLES",
+                help="also sample the pipeline and report the worst deviation in standard errors",
+            )
         p.add_argument("--dump-config", action="store_true", help="print the resolved configuration and exit")
         if command == "map":
             p.add_argument(
@@ -89,9 +93,9 @@ def _resolve_spec(args: argparse.Namespace) -> RunSpec:
         text,
         command=args.command,
         out_path=args.out,
-        seed=args.seed,
-        mc_samples=args.mc_check,
-        workers=args.workers,
+        seed=getattr(args, "seed", 0),
+        mc_samples=getattr(args, "mc_check", None),
+        workers=getattr(args, "workers", None),
     )
 
 
@@ -170,14 +174,9 @@ def _cmd_optimize(spec: RunSpec) -> int:
 
 def _cmd_strategy_scan(spec: RunSpec) -> int:
     scan = optimize_strategy(spec.cfg, spec.j_max, spec.n_candidates)
-    meta = _meta(spec)
-    meta.append(("j_opt", str(scan.j_opt)))
-    best = scan.best()
-    meta.append(("p1_max", repr(best.p1_max)))
-    rows = [
-        (j, result.n_opt, result.lambda_opt, result.p1_max, int(j == scan.j_opt))
-        for j, result in scan.results_by_j
-    ]
+    j_opt = scan.j_opt
+    meta = [*_meta(spec), ("j_opt", str(j_opt)), ("p1_max", repr(scan.best().p1_max))]
+    rows = [(j, result.n_opt, result.lambda_opt, result.p1_max, int(j == j_opt)) for j, result in scan.results_by_j]
     _emit(spec, ["J", "N_opt", "lambda_opt", "P_1_max", "is_opt"], rows, meta)
     return EXIT_OK
 
@@ -269,35 +268,27 @@ def _table_curves(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _scenario_cell(task: tuple) -> tuple:
-    spec, vd, label, strategy, pair_kind, units = task
-    cfg = spec.cfg
-    cfg = replace(
-        cfg, detector=replace(cfg.detector, efficiency=vd), strategy=strategy, dist=replace(cfg.dist, kind=pair_kind)
-    )
-    if units is None:
-        result = optimize_units(cfg, spec.n_candidates)
+def _scenario_cell(task: tuple) -> list[tuple]:
+    """Rows of one (V_D, pair kind): every swept strategy, from one lane search."""
+    spec, vd, pair_kind = task
+    sweep, cfg = spec.sweep, spec.cfg
+    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=vd), dist=replace(cfg.dist, kind=pair_kind))
+    labels, strategies = zip(*(sweep.strategies or [(cfg.strategy.label, cfg.strategy)]))
+    if sweep.n_values:  # each row is one (strategy, N) lane
+        units = sweep.n_values
+        curve = maximize_over_lambda(cfg, units * len(strategies), [s for s in strategies for _ in units])
+        labels = [label for label in labels for _ in units]
+        optima = [(p.units, p.p1, p.lambda_opt) for p in curve]
     else:
-        result = optimize_units(replace(cfg, units=units), (units,))
-    return (vd, pair_kind.value, label, result.n_opt, result.p1_max, result.lambda_opt)
+        optima = [(r.n_opt, r.p1_max, r.lambda_opt) for r in optimize_strategies(cfg, strategies, spec.n_candidates)]
+    return [(vd, pair_kind.value, label, *optimum) for label, optimum in zip(labels, optima)]
 
 
 def _table_scenarios(spec: RunSpec) -> int:
-    sweep = spec.sweep
-    if sweep.strategies:
-        strategies = [(token, strategy_from_token(token)) for token in sweep.strategies]
-    else:
-        strategies = [(spec.cfg.strategy.label, spec.cfg.strategy)]
-    pair_kinds = sweep.pair_kinds or (spec.cfg.dist.kind,)
-    unit_counts: tuple = sweep.n_values or (None,)
-    tasks = [
-        (spec, vd, label, strategy, pair_kind, units)
-        for vd in sweep.vd_values
-        for pair_kind in pair_kinds
-        for label, strategy in strategies
-        for units in unit_counts
-    ]
-    rows = run_tasks(_scenario_cell, tasks, spec.workers, _progress("table", len(tasks)))
+    pair_kinds = spec.sweep.pair_kinds or (spec.cfg.dist.kind,)
+    tasks = [(spec, vd, pair_kind) for vd in spec.sweep.vd_values for pair_kind in pair_kinds]
+    cells = run_tasks(_scenario_cell, tasks, spec.workers, _progress("table", len(tasks)))
+    rows = [row for cell in cells for row in cell]
     _emit(spec, ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
     return EXIT_OK
 

@@ -74,7 +74,7 @@ class SweepSpec:
     vr_values: tuple[float, ...] = ()
     n_values: tuple[int, ...] = ()
     lambda_values: tuple[float, ...] = ()
-    strategies: tuple[str, ...] = ()
+    strategies: tuple[tuple[str, HeraldingStrategy], ...] = ()  # (token, strategy) pairs
     pair_kinds: tuple[PairKind, ...] = ()
 
 
@@ -126,12 +126,12 @@ def _non_empty(section: str, key: str, values: tuple) -> tuple:
 
 
 def inclusive_range(field_path: str, start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start + step, ..., stop, rounded to 12 decimals."""
+    """start, start + step, ... up to stop (a rounding short of it counts), rounded to 12 decimals."""
     if not 0.0 < step < math.inf:
         raise ConfigError(field_path, f"step must be a finite number > 0, got {step}")
     if stop < start:
         raise ConfigError(field_path, f"range end {stop} is below its start {start}")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return tuple(round(start + k * step, 12) for k in range(count))
 
 
@@ -174,7 +174,7 @@ def _parse_strategy(raw: str) -> HeraldingStrategy:
     return HeraldingStrategy(accepted=counts)
 
 
-def strategy_from_token(token: str) -> HeraldingStrategy:
+def _strategy_from_token(token: str) -> HeraldingStrategy:
     if token == "spd":
         return HeraldingStrategy.single_photon()
     if token == "threshold":
@@ -273,10 +273,8 @@ def parse_config(text: str, **run_context) -> RunSpec:
             sweep_kwargs[key] = parse("sweep", key, raw)
     raw = get("sweep", "strategies")
     if raw is not None:
-        tokens = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
-        for token in tokens:
-            strategy_from_token(token)  # raises on an unknown token
-        sweep_kwargs["strategies"] = tokens
+        tokens = (part.strip().lower() for part in raw.split(",") if part.strip())
+        sweep_kwargs["strategies"] = tuple((token, _strategy_from_token(token)) for token in tokens)
     raw = get("sweep", "pair_kinds")
     if raw is not None:
         sweep_kwargs["pair_kinds"] = tuple(
@@ -324,7 +322,7 @@ def dump_config(spec: RunSpec) -> str:
         if getattr(sweep, key):
             sweep_lines.append(f"{key} = " + ",".join(format_value(v) for v in getattr(sweep, key)))
     if sweep.strategies:
-        sweep_lines.append("strategies = " + ",".join(sweep.strategies))
+        sweep_lines.append("strategies = " + ",".join(token for token, _ in sweep.strategies))
     if sweep.pair_kinds:
         sweep_lines.append("pair_kinds = " + ",".join(k.value for k in sweep.pair_kinds))
     if sweep_lines:

@@ -258,11 +258,11 @@ def p1_profile(
     for n in sorted(set(lanes.units[mixed].tolist())):
         group = np.flatnonzero(mixed & (lanes.units == n))
         start = lanes.offsets[group[0]]
-        priority = _no_herald_weights(1.0 - p_herald[source[group]], n)
         for k, i, counts, exponents in in_series:
-            poly = _survivor_polynomial(lanes.joined[start : start + n], i, counts, exponents)
-            per_unit = mass[source[group], :, i:] @ poly.T
-            out[k, group] = np.einsum("gkn,gkn->gk", priority, per_unit)  # (lanes, means, units) summed over units
+            poly = _survivor_polynomial(lanes.joined[start : start + n], i, counts, exponents).T
+            for lane in group:  # lane by lane, so no temporary outgrows one lane's (means, units)
+                priority = _no_herald_weights(1.0 - p_herald[source[lane]], n)
+                out[k, lane] = np.einsum("kn,kn->k", priority, mass[source[lane], :, i:] @ poly)
     for k, i in enumerate(wanted):
         if i == 0:  # no unit heralds
             out[k] += np.maximum(1.0 - p_herald[source], 0.0) ** lanes.units[:, None]

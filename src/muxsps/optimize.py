@@ -1,16 +1,16 @@
 """Maximization of the single-photon output probability.
 
 For a fixed loss configuration the free design knobs are the pump strength
-(mean pair number per pulse), the number of multiplexed units, and — when
-the detectors resolve photon number — the accepted-count set.  The search
-is exhaustive over unit counts and accepted-set cutoffs.  In the pump
-strength, every (heralding strategy, unit count) pair of a scan is one
-lane of the engine's one kernel ``p1_profile``, asked for P_1 alone: a
-coarse grid brackets each lane's peak and golden-section refinement then
-runs in lockstep over all lanes, so no unimodality assumption is
-load-bearing.  A cutoff scan is one such search over every (cutoff, unit
-count) lane.  Results carry the optimum, not the full output
-distribution there; ``output_distribution`` gives that on request.
+(mean pair number per pulse), the number of multiplexed units, and the
+heralding strategy (threshold, exactly-one-photon, or an accepted-count
+cutoff).  The search is exhaustive over unit counts and strategies.  In
+the pump strength, every (strategy, unit count) pair is one lane of the
+engine's one kernel ``p1_profile``, asked for P_1 alone: a coarse grid
+brackets each lane's peak and golden-section refinement then runs in
+lockstep over all lanes, so no unimodality assumption is load-bearing.
+A unit scan, a cutoff scan and a comparison-map cell are each one such
+search, an ``optimize_strategies`` call.  Results carry the optimum, not
+the output distribution there; ``output_distribution`` gives that.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
@@ -60,8 +60,12 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class StrategyScanResult:
-    j_opt: int
     results_by_j: tuple[tuple[int, OptimizationResult], ...]
+
+    @property
+    def j_opt(self) -> int:
+        """The best cutoff; ties break toward the smaller cutoff."""
+        return max(self.results_by_j, key=lambda item: (item[1].p1_max, -item[0]))[0]
 
     def best(self) -> OptimizationResult:
         return dict(self.results_by_j)[self.j_opt]
@@ -168,23 +172,44 @@ def _unit_candidates(cfg_template: SourceConfig, n_candidates: Iterable[int] | N
     return default_unit_candidates(cfg_template.mux, cfg_template.units)
 
 
-def _best_on_curve(cfg_template: SourceConfig, curve: tuple[CurvePoint, ...]) -> OptimizationResult:
-    best = max(curve, key=lambda point: point.p1)  # the first maximum: fewest units
-    return OptimizationResult(best.units, best.lambda_opt, best.p1, cfg_template.strategy, curve)
+def optimize_strategies(
+    cfg_template: SourceConfig,
+    strategies: Sequence[HeraldingStrategy],
+    n_candidates: Iterable[int] | None = None,
+) -> tuple[OptimizationResult, ...]:
+    """Best unit count and pump strength for each heralding strategy, in order.
+
+    One lockstep pump-mean search covers every (strategy, unit count) lane.
+    Ties break toward the smaller unit count (less hardware).  The
+    release-latest loop keeps its configured unit count whatever the
+    candidates (see ``default_unit_candidates``).
+    """
+    candidates = _unit_candidates(cfg_template, n_candidates)
+    lanes = [strategy for strategy in strategies for _ in candidates]
+    curve = maximize_over_lambda(cfg_template, candidates * len(strategies), lanes)
+    results = []
+    for k, strategy in enumerate(strategies):
+        per_n = curve[k * len(candidates) : (k + 1) * len(candidates)]
+        best = max(per_n, key=lambda point: point.p1)  # the first maximum: fewest units
+        results.append(OptimizationResult(best.units, best.lambda_opt, best.p1, strategy, per_n))
+    return tuple(results)
 
 
 def optimize_units(
     cfg_template: SourceConfig,
     n_candidates: Iterable[int] | None = None,
 ) -> OptimizationResult:
-    """Scan unit counts, maximizing over pump strength at each one.
+    """``optimize_strategies`` for the template's own heralding strategy."""
+    (result,) = optimize_strategies(cfg_template, [cfg_template.strategy], n_candidates)
+    return result
 
-    Ties in the single-photon probability break toward the smaller unit
-    count (less hardware).  The release-latest loop keeps its configured
-    unit count whatever the candidates (see ``default_unit_candidates``).
-    """
-    candidates = _unit_candidates(cfg_template, n_candidates)
-    return _best_on_curve(cfg_template, maximize_over_lambda(cfg_template, candidates))
+
+def _cutoffs(cfg_template: SourceConfig, j_max: int) -> list[HeraldingStrategy]:
+    """Accepted-count cutoffs 1..j_max, once j_max is checked against the detector."""
+    cap = cfg_template.detector.resolution_cap
+    if not 1 <= j_max <= cap:
+        raise ParameterError("j_max", f"must be within [1, resolution_cap={cap}], got {j_max}")
+    return [HeraldingStrategy.up_to(j) for j in range(1, j_max + 1)]
 
 
 def optimize_strategy(
@@ -192,29 +217,12 @@ def optimize_strategy(
     j_max: int,
     n_candidates: Iterable[int] | None = None,
 ) -> StrategyScanResult:
-    """Scan accepted-count cutoffs 1..j_max, optimizing units and pump for each.
+    """``optimize_strategies`` over the accepted-count cutoffs 1..j_max.
 
-    One lockstep pump-mean search covers every (cutoff, unit count) lane;
-    each cutoff's result is then what ``optimize_units`` gives for it.
-    Ties break toward the smaller cutoff, and within a cutoff toward the
-    smaller unit count.
+    Ties break toward the smaller cutoff, then toward fewer units.
     """
-    if not 1 <= j_max <= cfg_template.detector.resolution_cap:
-        raise ParameterError(
-            "j_max", f"must be within [1, resolution_cap={cfg_template.detector.resolution_cap}], got {j_max}"
-        )
-    candidates = _unit_candidates(cfg_template, n_candidates)
-    cutoffs = [HeraldingStrategy.up_to(j) for j in range(1, j_max + 1)]
-    curve = maximize_over_lambda(
-        cfg_template, candidates * j_max, [strategy for strategy in cutoffs for _ in candidates]
-    )
-    size = len(candidates)
-    results = tuple(
-        (j, _best_on_curve(replace(cfg_template, strategy=strategy), curve[(j - 1) * size : j * size]))
-        for j, strategy in enumerate(cutoffs, start=1)
-    )
-    best_j, _ = max(results, key=lambda item: item[1].p1_max)  # the first maximum: smallest cutoff
-    return StrategyScanResult(j_opt=best_j, results_by_j=results)
+    results = optimize_strategies(cfg_template, _cutoffs(cfg_template, j_max), n_candidates)
+    return StrategyScanResult(tuple(enumerate(results, start=1)))
 
 
 def run_tasks(
@@ -251,7 +259,7 @@ def _map_cell(
     i_max: int,
     resolution_cap: int,
 ) -> tuple[OptimizationResult, StrategyScanResult]:
-    """Threshold optimum and cutoff scan at one (V_D, V_r) cell of a symmetric tree."""
+    """Threshold optimum and cutoff scan at one (V_D, V_r) cell of a symmetric tree, from one search."""
     vd, vr = cell
     template = SourceConfig(
         dist=PairDistribution(PairKind.POISSONIAN, 0.5),
@@ -262,8 +270,8 @@ def _map_cell(
         tail_tol=tail_tol,
         i_max=i_max,
     )
-    scan = optimize_strategy(template, j_max, candidates)  # first: a bad j_max fails before any search
-    return optimize_units(template, candidates), scan
+    threshold, *cutoffs = optimize_strategies(template, [template.strategy, *_cutoffs(template, j_max)], candidates)
+    return threshold, StrategyScanResult(tuple(enumerate(cutoffs, start=1)))
 
 
 def comparison_map(

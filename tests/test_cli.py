@@ -3,11 +3,13 @@
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from muxsps import cli
 from muxsps.config import PRESETS, RunSpec, dump_config, parse_config
+from muxsps.optimize import LAMBDA_TOL, optimize_units
 from muxsps.simulate import SimulationEstimate
 
 MINIMAL = """\
@@ -85,6 +87,12 @@ class TestConfigDocument:
     def test_grid_syntax_inclusive(self):
         spec = parse_config(MINIMAL + "\n[sweep]\nvd_values = 0.3:0.5:0.1\n")
         assert spec.sweep.vd_values == (0.3, 0.4, 0.5)
+        # a step that does not divide the span stops below the range end
+        spec = parse_config(MINIMAL + "\n[sweep]\nvd_values = 0.1:1.0:0.35\n")
+        assert spec.sweep.vd_values == (0.1, 0.45, 0.8)
+        spec = parse_config(MINIMAL + "\n[sweep]\nvd_values = 0.3:1.0:0.01\nlambda_values = 0.02:2.0:0.02\n")
+        assert len(spec.sweep.vd_values) == 71 and spec.sweep.vd_values[-1] == 1.0
+        assert len(spec.sweep.lambda_values) == 100 and spec.sweep.lambda_values[-1] == 2.0
 
 
 class TestEvaluate:
@@ -140,7 +148,7 @@ class TestExitCodes:
     )
     def test_invalid_value_names_one_field(self, command, text, field_path, tmp_path, capsys):
         path = write_config(tmp_path, text)
-        status, out, err = run_cli([*command, "--config", path, "--workers", "1"], capsys)
+        status, out, err = run_cli([*command, "--config", path], capsys)
         assert status == 2
         assert out == ""
         assert "Traceback" not in err
@@ -152,7 +160,7 @@ class TestExitCodes:
         text = MINIMAL.replace("efficiency = 0.95", "efficiency = 0.95\nresolution_cap = 3")
         path = write_config(tmp_path, text + "\n[optimizer]\nn_candidates = 1,2\n")
         assert run_cli(["evaluate", "--config", path], capsys)[0] == 0
-        status, _, err = run_cli(["strategy-scan", "--config", path, "--workers", "1"], capsys)
+        status, _, err = run_cli(["strategy-scan", "--config", path], capsys)
         assert status == 2
         assert "optimizer.j_max" in err
 
@@ -160,6 +168,19 @@ class TestExitCodes:
         status, _, err = run_cli(["evaluate", "--preset", "nope"], capsys)
         assert status == 2
         assert "nope" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("map", "--mc-check"), ("table", "--seed"), ("strategy-scan", "--mc-check"), ("evaluate", "--workers"),
+         ("optimize", "--workers"), ("strategy-scan", "--workers")],
+    )
+    def test_flag_of_another_command_is_2(self, command, flag, tmp_path, capsys):
+        # a flag the command would not read is rejected, not silently ignored
+        path = write_config(tmp_path, MINIMAL + "\n[sweep]\nvd_values = 0.9\nvr_values = 0.9\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, flag, "1000000"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_unwritable_output_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -284,6 +305,34 @@ strategies = threshold,spd
         assert len(rows) == 4
         assert {row[2] for row in rows} == {"threshold", "spd"}
 
+    @pytest.mark.parametrize("preset", ["btm", "loop-latest"])
+    def test_scenario_rows_equal_per_row_unit_scans(self, preset, tmp_path, capsys):
+        # one lane search per (V_D, pair kind) gives each row what its own
+        # search gives: a unit scan (btm), or its fixed N alone (loop-latest)
+        text = re.sub(r"vd_values = .*", "vd_values = 0.6,0.95", PRESETS[preset])
+        spec = parse_config(text, command="table")
+        assert [token for token, _ in spec.sweep.strategies] == ["threshold", "spd"]
+        status, out, _ = run_cli(["table", "--config", write_config(tmp_path, text), "--workers", "1"], capsys)
+        assert status == 0
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "V_D,"))]
+        expected = [
+            (vd, token, strategy, units)
+            for vd in (0.6, 0.95)
+            for token, strategy in spec.sweep.strategies
+            for units in spec.sweep.n_values or (None,)
+        ]
+        assert len(rows) == len(expected)
+        for row, (vd, token, strategy, units) in zip(rows, expected):
+            cfg = replace(spec.cfg, detector=replace(spec.cfg.detector, efficiency=vd), strategy=strategy)
+            if units is None:
+                alone = optimize_units(cfg, spec.n_candidates)
+            else:
+                alone = optimize_units(replace(cfg, units=units), (units,))
+            assert row[:3] == [repr(vd), cfg.dist.kind.value, token]
+            assert int(row[3]) == alone.n_opt
+            assert float(row[4]) == pytest.approx(alone.p1_max, abs=1e-12)
+            assert float(row[5]) == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
+
     def test_curve_family(self, tmp_path, capsys):
         config = MINIMAL + "\n[sweep]\nn_values = 1,2\nlambda_values = 0.2,0.4\n"
         path = write_config(tmp_path, config)
@@ -319,6 +368,14 @@ class TestMapCommand:
         assert status == 0
         rows = [line for line in out.splitlines() if not line.startswith(("#", "V_D,"))]
         assert len(rows) == 4  # 2x2 regridded axes
+
+    def test_grid_step_stops_below_the_axis_end(self, capsys):
+        status, out, _ = run_cli(["map", "--preset", "ssm-maps", "--grid-step", "0.08", "--dump-config"], capsys)
+        assert status == 0
+        spec = parse_config(out, command="map")
+        expected = tuple(round(0.3 + 0.08 * k, 12) for k in range(9))
+        assert spec.sweep.vd_values == spec.sweep.vr_values == expected
+        assert expected[-1] == 0.94
 
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     def test_non_positive_grid_step_is_config_error(self, step, tmp_path, capsys):

@@ -6,17 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from muxsps import optimize
 from muxsps.engine import SourceConfig, output_distribution
 from muxsps.losses import MultiplexerModel
 from muxsps.optimize import (
     LAMBDA_TOL,
+    OptimizationResult,
+    StrategyScanResult,
     comparison_map,
     default_unit_candidates,
     maximize_over_lambda,
+    optimize_strategies,
     optimize_strategy,
     optimize_units,
 )
-from muxsps.statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind
+from muxsps.statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
 from scalar_search import scalar_maximize_over_lambda
 
 
@@ -133,7 +137,38 @@ class TestOptimizeUnits:
         assert result.lambda_opt == pytest.approx(0.812, abs=1e-2)
 
 
+class TestOptimizeStrategies:
+    @pytest.mark.parametrize(
+        "mux, units, candidates",
+        [
+            (MultiplexerModel.symmetric_spatial(0.93), 1, tuple(2**k for k in range(11))),
+            (MultiplexerModel.time_loop_latest(0.988, generic_transmission=0.88), 40, None),
+        ],
+        ids=["tree-pow2:1024", "loop-latest"],
+    )
+    def test_each_strategy_matches_its_own_unit_scan(self, mux, units, candidates):
+        strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3)]
+        cfg = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), DetectorModel(0.85), strategies[1], mux, units)
+        results = optimize_strategies(cfg, strategies, candidates)
+        assert [result.strategy_used for result in results] == strategies
+        for result in results:
+            alone = optimize_units(replace(cfg, strategy=result.strategy_used), candidates)
+            assert result.n_opt == alone.n_opt
+            assert result.p1_max == pytest.approx(alone.p1_max, abs=1e-12)
+            assert result.lambda_opt == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
+            assert [p.units for p in result.per_n_curve] == [p.units for p in alone.per_n_curve]
+
+
 class TestOptimizeStrategy:
+    def test_j_opt_ties_go_to_the_smaller_cutoff(self):
+        def result(j, p1):
+            return OptimizationResult(1, 0.5, p1, HeraldingStrategy.up_to(j), ())
+
+        scan = StrategyScanResult(((1, result(1, 0.5)), (2, result(2, 0.7)), (3, result(3, 0.7))))
+        assert scan.j_opt == 2
+        assert scan.best() is scan.results_by_j[1][1]
+        assert StrategyScanResult(scan.results_by_j[::-1]).j_opt == 2
+
     def test_lossless_routers_prefer_single_photon(self):
         cfg = tree_template(0.98, 1.0, HeraldingStrategy.single_photon())
         scan = optimize_strategy(cfg, j_max=3, n_candidates=[1, 2, 4, 8])
@@ -208,6 +243,30 @@ class TestComparisonMap:
         assert cell.p1_spd[0, 0] == pytest.approx(p1_spd, abs=1e-9)
         assert cell.p1_threshold[0, 0] == pytest.approx(p1_threshold, abs=1e-9)
         assert cell.p1_jopt[0, 0] == pytest.approx(p1_jopt, abs=1e-9)
+
+    def test_threshold_and_spd_entries_equal_their_own_unit_scans(self):
+        candidates = [2**k for k in range(9)]
+        vds, vrs = [0.7, 0.95], [0.9, 0.97]
+        grid = comparison_map(vds, vrs, j_max=3, n_candidates=candidates)
+        entries = (
+            (HeraldingStrategy.threshold(), grid.n_opt_threshold, grid.p1_threshold, grid.lambda_opt_threshold),
+            (HeraldingStrategy.single_photon(), grid.n_opt_spd, grid.p1_spd, grid.lambda_opt_spd),
+        )
+        for a, vd in enumerate(vds):
+            for b, vr in enumerate(vrs):
+                for strategy, n_opt, p1, lambda_opt in entries:
+                    alone = optimize_units(tree_template(vd, vr, strategy), candidates)
+                    assert n_opt[a, b] == alone.n_opt
+                    assert p1[a, b] == pytest.approx(alone.p1_max, abs=1e-12)
+                    assert lambda_opt[a, b] == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
+
+    def test_bad_j_max_fails_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking j_max")
+
+        monkeypatch.setattr(optimize, "maximize_over_lambda", no_search)
+        with pytest.raises(ParameterError, match="j_max"):
+            comparison_map([0.9], [0.9], j_max=11)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
