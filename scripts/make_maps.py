@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Generate the heralding-mode comparison maps over the loss-parameter plane.
 
-The full 0.01-step map (71 x 71 cells, each one pump-mean search over
-the threshold and cutoff lanes of every unit count) took 27 s with
---workers 2 (about 45 s with one) on a 2-vCPU VM; the default step of
-0.05 takes about 2 s and is enough to see the structure.
+The full 0.01-step map (71 x 71 cells; each chunk of up to 12 cells of one
+detector efficiency is one pump-mean search over the threshold and cutoff
+lanes of every router transmission and unit count) took 11 s with
+--workers 2 (19 s with one) on a 2-vCPU VM; the default step of 0.05
+takes about 1 s and is enough to see the structure.
 
 Usage:
     python scripts/make_maps.py [--step 0.05] [--out out/maps.csv] [--workers K]

@@ -143,7 +143,7 @@ def _cmd_evaluate(spec: RunSpec) -> int:
     meta = _meta(spec)
     meta.append(("truncation_deficit", repr(out.truncation_deficit)))
     status = EXIT_OK
-    if spec.mc_samples:
+    if spec.mc_samples is not None:
         status = _mc_check(cfg, out, spec, meta)
     rows = [(i, p) for i, p in enumerate(out.probabilities)]
     _emit(spec, ["i", "P_i"], rows, meta)
@@ -162,7 +162,7 @@ def _cmd_optimize(spec: RunSpec) -> int:
     meta.append(("p_i_at_optimum", " ".join(repr(p) for p in exact.probabilities)))
     meta.append(("truncation_deficit", repr(exact.truncation_deficit)))
     status = EXIT_OK
-    if spec.mc_samples:
+    if spec.mc_samples is not None:
         status = _mc_check(best_cfg, exact, spec, meta)
     rows = [
         (p.units, p.lambda_opt, p.p1, int(p.units == result.n_opt))
@@ -241,18 +241,20 @@ def _cmd_table(spec: RunSpec) -> int:
     raise ConfigError("sweep", "table needs vd_values (+ vr_values / n_values) or lambda_values")
 
 
-def _router_cell(task: tuple) -> tuple:
-    spec, vd, vr = task
-    cfg = spec.cfg
-    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=vd), mux=replace(cfg.mux, router_transmission=vr))
-    result = optimize_units(cfg, spec.n_candidates)
-    return (vd, vr, result.n_opt, result.p1_max, result.lambda_opt)
+def _router_row(task: tuple) -> list[tuple]:
+    """Rows of one V_D: every swept V_r, from one lane search."""
+    spec, vd = task
+    cfg = replace(spec.cfg, detector=replace(spec.cfg.detector, efficiency=vd))
+    vrs = spec.sweep.vr_values
+    muxes = [replace(cfg.mux, router_transmission=vr) for vr in vrs]
+    results = optimize_strategies(cfg, [cfg.strategy], spec.n_candidates, muxes)
+    return [(vd, vr, r.n_opt, r.p1_max, r.lambda_opt) for vr, r in zip(vrs, results)]
 
 
 def _table_router_grid(spec: RunSpec) -> int:
-    tasks = [(spec, vd, vr) for vd in spec.sweep.vd_values for vr in spec.sweep.vr_values]
-    rows = run_tasks(_router_cell, tasks, spec.workers, _progress("table", len(tasks)))
-    _emit(spec, ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
+    tasks = [(spec, vd) for vd in spec.sweep.vd_values]
+    cells = run_tasks(_router_row, tasks, spec.workers, _progress("table", len(tasks)))
+    _emit(spec, ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], [row for cell in cells for row in cell], _meta(spec))
     return EXIT_OK
 
 

@@ -40,6 +40,7 @@ _SECTION_KEYS = {
     "optimizer": ("tail_tol", "i_max", "n_candidates", "j_max"),
     "sweep": ("vd_values", "vr_values", "n_values", "lambda_values", "strategies", "pair_kinds"),
 }
+_FLAG_PARAMS = {"workers": "--workers", "samples": "--mc-check"}
 
 
 class ConfigError(ValueError):
@@ -54,15 +55,15 @@ class ConfigError(ValueError):
 def config_field(field_path: str | None = None) -> Iterator[None]:
     """Raise a library ``ParameterError`` from the block as a ``ConfigError``.
 
-    The error names ``field_path``; by default, the document key that the
-    library parameter is read from.
+    The error names ``field_path``; by default, the document key or flag
+    that the library parameter is read from.
     """
     try:
         yield
     except ParameterError as exc:
         if field_path is None:
             keys = (f"{section}.{exc.name}" for section, names in _SECTION_KEYS.items() if exc.name in names)
-            field_path = next(keys, exc.name)
+            field_path = next(keys, _FLAG_PARAMS.get(exc.name, exc.name))
         raise ConfigError(field_path, exc.reason) from exc
 
 

@@ -8,7 +8,7 @@ path.  If no unit heralds, the output is vacuum.
 
 One kernel, ``p1_profile``, evaluates the resulting output photon-number
 probabilities exactly, up to a controlled series truncation, for a batch
-of (heralding strategy, unit count) lanes and pump means;
+of (heralding strategy, multiplexer, unit count) lanes and pump means;
 ``output_distribution`` is its one-lane, one-mean call.  For a Poissonian
 source the threshold and single-photon heralding cases also admit closed
 forms, kept here as independent cross-checks.
@@ -113,13 +113,14 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
 
 @dataclass(frozen=True, eq=False)
 class ProfileLanes:
-    """Per-search constants of ``p1_profile``: a lane is a (strategy, unit count) pair.
+    """Per-search constants of ``p1_profile``: a lane is a (strategy, multiplexer, unit count).
 
     ``weights`` has one herald-weight row per distinct strategy, long enough
-    for every mean up to ``max_mean``, and ``row`` picks a lane's row.
-    ``joined`` concatenates the unit transmissions of every distinct unit
-    count, ``offsets`` holds each lane's start in it, and ``uniform`` marks
-    lanes whose units all share one transmission.
+    for every mean up to ``max_mean``, and ``row`` picks a lane's row; the
+    detector is shared.  ``joined`` concatenates the unit transmissions of
+    every distinct (multiplexer, unit count) pair, ``offsets`` holds each
+    lane's start in it, and ``uniform`` marks lanes whose units all share
+    one transmission.
     """
 
     units: np.ndarray
@@ -150,32 +151,38 @@ def profile_lanes(
     cfg: SourceConfig,
     units: Sequence[int],
     strategies: Sequence[HeraldingStrategy] | None = None,
+    muxes: Sequence[MultiplexerModel] | None = None,
     *,
     max_mean: float,
 ) -> ProfileLanes:
     """Lanes of ``p1_profile`` calls with means up to ``max_mean``, one per unit count.
 
-    ``strategies`` gives each lane's heralding strategy (default
-    ``cfg.strategy`` for every lane).  The herald weights are computed once
-    here, at the truncation point of ``max_mean`` and the largest unit
-    count, which bounds the tail of every smaller mean and unit count too.
+    ``strategies`` and ``muxes`` give each lane's heralding strategy and
+    multiplexer (default ``cfg.strategy`` and ``cfg.mux`` for every lane).
+    The herald weights are computed once here, at the truncation point of
+    ``max_mean`` and the largest unit count, which bounds the tail of every
+    smaller mean and unit count too.
     """
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
-    if units.ndim != 1 or units.size == 0 or len(strategies) != units.size:
-        raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy per lane")
+    muxes = (cfg.mux,) * units.size if muxes is None else tuple(muxes)
+    if units.ndim != 1 or units.size == 0 or not len(strategies) == len(muxes) == units.size:
+        raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy and multiplexer per lane")
     distinct = tuple(dict.fromkeys(strategies))
     for strategy in distinct:
         strategy.validate_for(cfg.detector)
     l_max = _series_length(cfg, max_mean, int(units.max()))
-    counts = np.array(sorted(set(units.tolist())))
-    which = np.searchsorted(counts, units)
-    joined = np.concatenate([unit_transmissions(cfg.mux, n) for n in counts.tolist()])
-    starts = counts.cumsum() - counts
+    keys = list(zip(muxes, units.tolist()))
+    which = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    sizes = np.array([n for _, n in which])
+    joined = np.concatenate([unit_transmissions(mux, n) for mux, n in which])
+    starts = sizes.cumsum() - sizes
     uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
+    lane_key = np.array([which[key] for key in keys])
     weights = np.array([herald_weights(s, cfg.detector, l_max) for s in distinct])
-    row = np.array([distinct.index(s) for s in strategies])
-    return ProfileLanes(units, row, starts[which], uniform[which], weights, joined, float(max_mean))
+    rows = {s: r for r, s in enumerate(distinct)}
+    row = np.array([rows[s] for s in strategies])
+    return ProfileLanes(units, row, starts[lane_key], uniform[lane_key], weights, joined, float(max_mean))
 
 
 def p1_profile(
@@ -188,21 +195,23 @@ def p1_profile(
 
     The one evaluation kernel of the library: P_i for i = ``photons`` (the
     single-photon probability by default), and ``output_distribution`` is
-    its one-lane, one-mean call.  A lane is a (heralding strategy, unit
-    count) pair: ``lanes`` is a ``ProfileLanes`` from ``profile_lanes``, or
-    unit counts that all use ``cfg.strategy`` (default ``cfg.units``
-    alone).  ``means`` is a 1-d grid shared by every lane or a 2-d array
-    with one row per lane; the result is a (lanes, means) array for one
-    photon number and a (photons, lanes, means) array for a sequence.
+    its one-lane, one-mean call.  A lane is a (heralding strategy,
+    multiplexer, unit count): ``lanes`` is a ``ProfileLanes`` from
+    ``profile_lanes``, or unit counts that all use ``cfg.strategy`` and
+    ``cfg.mux`` (default ``cfg.units`` alone).  ``means`` is a 1-d grid
+    shared by every lane or a 2-d array with one row per lane; the result is
+    a (lanes, means) array for one photon number and a (photons, lanes,
+    means) array for a sequence.
 
     The series is factored so no lanes x means x pairs array is built: the
     pair pmf per mean, one herald-weight row per strategy, the survivor
-    polynomial C(l, i) v**i (1 - v)**(l - i) per lane (per unit count for
-    lanes with many transmissions), and the priority sum in closed
-    geometric form for a lane whose units all share one transmission.  P_0
-    also holds the no-herald term miss**units, and photon numbers beyond
-    the series are 0.  One truncation point, taken at the largest mean and
-    unit count, serves the whole call.  Means must be non-negative.
+    polynomial C(l, i) v**i (1 - v)**(l - i) per distinct transmission (per
+    multiplexer and unit count for lanes with many transmissions), and the
+    priority sum in closed geometric form for a lane whose units all share
+    one transmission.  P_0 also holds the no-herald term miss**units, and
+    photon numbers beyond the series are 0.  One truncation point, taken at
+    the largest mean and unit count, serves the whole call.  Means must be
+    non-negative.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
@@ -239,25 +248,26 @@ def p1_profile(
     in_series = [(k, i, comb[i, i:], ls[: l_max + 1 - i]) for k, i in enumerate(wanted) if i <= l_max]
     same = np.flatnonzero(lanes.uniform)
     if same.size:
-        transmissions = lanes.joined[lanes.offsets[same]]
-        # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the
-        # clip keeps it finite at p = 0 (limit: units) and at p = 1
-        p = np.minimum(np.maximum(p_herald[source[same]], _TINY), _BELOW_ONE)
-        geometric = -np.expm1(lanes.units[same, None] * np.log1p(-p)) / p
-        rows = [] if per_lane else [(r, source[same] == r) for r in sorted(set(source[same].tolist()))]
-        for k, i, counts, exponents in in_series:
-            poly = _survivor_polynomial(transmissions, i, counts, exponents)[:, :, None]
-            if per_lane:
-                survivors = (mass[same, :, i:] @ poly)[..., 0]
-            else:
-                survivors = np.empty((same.size, means.shape[-1]))
-                for r, pick in rows:
-                    survivors[pick] = (mass[r, :, i:] @ poly[pick])[..., 0]
-            out[k, same] = survivors * geometric
+        # one survivor polynomial per distinct transmission, indexed per lane
+        transmissions, inverse = np.unique(lanes.joined[lanes.offsets[same]], return_inverse=True)
+        polys = [(k, i, _survivor_polynomial(transmissions, i, c, e)[:, :, None]) for k, i, c, e in in_series]
+        # mass rows: the lanes' own, or one herald-weight row at a time, so
+        # that only ``out`` spans lanes x shared means
+        if per_lane:
+            groups = [(same, np.arange(same.size))]
+        else:
+            groups = [(r, np.flatnonzero(source[same] == r)) for r in sorted(set(source[same].tolist()))]
+        for r, pick in groups:
+            # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the
+            # clip keeps it finite at p = 0 (limit: units) and at p = 1
+            p = np.minimum(np.maximum(p_herald[r], _TINY), _BELOW_ONE)
+            geometric = -np.expm1(lanes.units[same[pick], None] * np.log1p(-p)) / p
+            for k, i, poly in polys:
+                out[k, same[pick]] = (mass[r, :, i:] @ poly[inverse[pick]])[..., 0] * geometric
     mixed = ~lanes.uniform
-    for n in sorted(set(lanes.units[mixed].tolist())):
-        group = np.flatnonzero(mixed & (lanes.units == n))
-        start = lanes.offsets[group[0]]
+    for start in sorted(set(lanes.offsets[mixed].tolist())):
+        group = np.flatnonzero(mixed & (lanes.offsets == start))
+        n = int(lanes.units[group[0]])
         for k, i, counts, exponents in in_series:
             poly = _survivor_polynomial(lanes.joined[start : start + n], i, counts, exponents).T
             for lane in group:  # lane by lane, so no temporary outgrows one lane's (means, units)

@@ -4,13 +4,15 @@ For a fixed loss configuration the free design knobs are the pump strength
 (mean pair number per pulse), the number of multiplexed units, and the
 heralding strategy (threshold, exactly-one-photon, or an accepted-count
 cutoff).  The search is exhaustive over unit counts and strategies.  In
-the pump strength, every (strategy, unit count) pair is one lane of the
-engine's one kernel ``p1_profile``, asked for P_1 alone: a coarse grid
-brackets each lane's peak and golden-section refinement then runs in
-lockstep over all lanes, so no unimodality assumption is load-bearing.
-A unit scan, a cutoff scan and a comparison-map cell are each one such
-search, an ``optimize_strategies`` call.  Results carry the optimum, not
-the output distribution there; ``output_distribution`` gives that.
+the pump strength, every (strategy, multiplexer, unit count) triple is one
+lane of the engine's one kernel ``p1_profile``, asked for P_1 alone: a
+coarse grid brackets each lane's peak and golden-section refinement then
+runs in lockstep over all lanes, so no unimodality assumption is
+load-bearing.  A unit scan, a cutoff scan, a chunk of comparison-map cells
+sharing one detector efficiency and a row of router-grid table cells are
+each one such search, an ``optimize_strategies`` call.  Results carry the
+optimum, not the output distribution there; ``output_distribution`` gives
+that.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,6 +39,9 @@ LAMBDA_TOL = 1e-4
 DEFAULT_POW2_CAP = 1024
 DEFAULT_CHAIN_CAP = 128
 DEFAULT_J_MAX = 6
+# map cells per lane search: 12 cells of 77 lanes (pow2:1024, j_max 6) keep a
+# search's temporaries near 4 MB, below the map's other memory
+MAP_CHUNK_CELLS = 12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -111,20 +117,22 @@ def maximize_over_lambda(
     cfg_template: SourceConfig,
     units: Sequence[int],
     strategies: Sequence[HeraldingStrategy] | None = None,
+    muxes: Sequence[MultiplexerModel] | None = None,
 ) -> tuple[CurvePoint, ...]:
     """Best pump mean and single-photon probability at each lane.
 
     Lane i is unit count ``units[i]`` heralded with ``strategies[i]``
-    (default ``cfg_template.strategy`` for every lane), one lane of
-    ``p1_profile``; the herald weights and transmissions are computed once
-    for the whole search.  A coarse grid scan brackets every lane's peak,
-    then golden-section refinement runs in lockstep over the lanes, each
-    stopping once its bracket is narrower than ``LAMBDA_TOL``.  A lane
-    returns its bracket midpoint, or its best grid point if that is higher
-    (the bracket can be degenerate).
+    behind multiplexer ``muxes[i]`` (default the template's strategy and
+    multiplexer for every lane), one lane of ``p1_profile``; the herald
+    weights and transmissions are computed once for the whole search.  A
+    coarse grid scan brackets every lane's peak, then golden-section
+    refinement runs in lockstep over the lanes, each stopping once its
+    bracket is narrower than ``LAMBDA_TOL``.  A lane returns its bracket
+    midpoint, or its best grid point if that is higher (the bracket can be
+    degenerate).
     """
     grid = _coarse_grid()
-    lanes = profile_lanes(cfg_template, units, strategies, max_mean=float(grid[-1]))
+    lanes = profile_lanes(cfg_template, units, strategies, muxes, max_mean=float(grid[-1]))
     k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
@@ -176,19 +184,25 @@ def optimize_strategies(
     cfg_template: SourceConfig,
     strategies: Sequence[HeraldingStrategy],
     n_candidates: Iterable[int] | None = None,
+    muxes: Sequence[MultiplexerModel] | None = None,
 ) -> tuple[OptimizationResult, ...]:
-    """Best unit count and pump strength for each heralding strategy, in order.
+    """Best unit count and pump strength for each multiplexer and heralding strategy.
 
-    One lockstep pump-mean search covers every (strategy, unit count) lane.
+    One lockstep pump-mean search covers every (multiplexer, strategy, unit
+    count) lane; results come in (multiplexer, strategy) order.  ``muxes``
+    defaults to the template's own multiplexer; the unit candidates come
+    from the template, so the multiplexers should share its topology.
     Ties break toward the smaller unit count (less hardware).  The
     release-latest loop keeps its configured unit count whatever the
     candidates (see ``default_unit_candidates``).
     """
     candidates = _unit_candidates(cfg_template, n_candidates)
-    lanes = [strategy for strategy in strategies for _ in candidates]
-    curve = maximize_over_lambda(cfg_template, candidates * len(strategies), lanes)
+    muxes = (cfg_template.mux,) if muxes is None else muxes
+    lanes = [(mux, strategy, n) for mux in muxes for strategy in strategies for n in candidates]
+    mux_of, strategy_of, units = zip(*lanes)
+    curve = maximize_over_lambda(cfg_template, units, strategy_of, mux_of)
     results = []
-    for k, strategy in enumerate(strategies):
+    for k, strategy in enumerate(list(strategies) * len(muxes)):
         per_n = curve[k * len(candidates) : (k + 1) * len(candidates)]
         best = max(per_n, key=lambda point: point.p1)  # the first maximum: fewest units
         results.append(OptimizationResult(best.units, best.lambda_opt, best.p1, strategy, per_n))
@@ -237,6 +251,8 @@ def run_tasks(
     ``fn`` and the tasks must pickle.  ``progress(done, total)`` is called
     after each finished task.
     """
+    if workers is not None and workers < 1:
+        raise ParameterError("workers", f"must be >= 1, got {workers}")
     results: list = []
     with ExitStack() as stack:
         outputs: Iterable = map(fn, tasks)
@@ -250,28 +266,17 @@ def run_tasks(
     return results
 
 
-def _map_cell(
-    cell: tuple[float, float],
-    *,
-    j_max: int,
-    candidates: tuple[int, ...] | None,
-    tail_tol: float,
-    i_max: int,
-    resolution_cap: int,
-) -> tuple[OptimizationResult, StrategyScanResult]:
-    """Threshold optimum and cutoff scan at one (V_D, V_r) cell of a symmetric tree, from one search."""
-    vd, vr = cell
-    template = SourceConfig(
-        dist=PairDistribution(PairKind.POISSONIAN, 0.5),
-        detector=DetectorModel(vd, resolution_cap),
-        strategy=HeraldingStrategy.threshold(),
-        mux=MultiplexerModel.symmetric_spatial(vr),
-        units=1,
-        tail_tol=tail_tol,
-        i_max=i_max,
-    )
-    threshold, *cutoffs = optimize_strategies(template, [template.strategy, *_cutoffs(template, j_max)], candidates)
-    return threshold, StrategyScanResult(tuple(enumerate(cutoffs, start=1)))
+def _map_chunk(task: tuple) -> list[tuple[OptimizationResult, StrategyScanResult]]:
+    """Threshold optimum and cutoff scan at each (V_D, V_r) cell of a chunk of one V_D row, from one search."""
+    vd, vrs, j_max, candidates, tail_tol, i_max, resolution_cap = task
+    muxes = [MultiplexerModel.symmetric_spatial(vr) for vr in vrs]
+    threshold = HeraldingStrategy.threshold()
+    detector = DetectorModel(vd, resolution_cap)
+    template = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), detector, threshold, muxes[0], 1, tail_tol, i_max)
+    strategies = [threshold, *_cutoffs(template, j_max)]
+    results = optimize_strategies(template, strategies, candidates, muxes)
+    cells = [results[k : k + len(strategies)] for k in range(0, len(results), len(strategies))]
+    return [(cell[0], StrategyScanResult(tuple(enumerate(cell[1:], start=1)))) for cell in cells]
 
 
 def comparison_map(
@@ -289,23 +294,27 @@ def comparison_map(
     """Compare heralding modes cell by cell over a (V_D, V_r) grid.
 
     V_D is the detector efficiency and V_r the router transmission of a
-    symmetric spatial tree.  Cells are independent and come back in grid
-    order, so the map is identical for any worker count.
+    symmetric spatial tree.  Each task is one lane search over a chunk of up
+    to ``MAP_CHUNK_CELLS`` cells of one V_D row, since cells that share a
+    detector share their herald weights.  Chunks come back in grid order, so
+    the map is identical for any worker count; ``progress(done, total)`` is
+    called once per cell, after its chunk finishes.
     """
     axis_vd = np.asarray(list(grid_vd), dtype=float)
     axis_vr = np.asarray(list(grid_vr), dtype=float)
     if axis_vd.size == 0 or axis_vr.size == 0:
         raise ValueError("grids must be non-empty")
-    cell_fn = partial(
-        _map_cell,
-        j_max=j_max,
-        candidates=tuple(n_candidates) if n_candidates is not None else None,
-        tail_tol=tail_tol,
-        i_max=i_max,
-        resolution_cap=resolution_cap,
-    )
-    cells = [(float(vd), float(vr)) for vd in axis_vd for vr in axis_vr]
-    results = run_tasks(cell_fn, cells, workers, progress)
+    settings = (j_max, None if n_candidates is None else tuple(n_candidates), tail_tol, i_max, resolution_cap)
+    vrs, steps = tuple(axis_vr.tolist()), range(0, axis_vr.size, MAP_CHUNK_CELLS)
+    chunks = [(vd, vrs[k : k + MAP_CHUNK_CELLS], *settings) for vd in axis_vd.tolist() for k in steps]
+    ends = [0, *accumulate(len(chunk[1]) for chunk in chunks)]
+
+    def report(done: int, _: int) -> None:  # once per cell, as its chunk finishes
+        for cell in range(ends[done - 1] + 1, ends[done] + 1):
+            progress(cell, ends[-1])
+
+    chunked = run_tasks(_map_chunk, chunks, workers, None if progress is None else report)
+    results = [cell for chunk in chunked for cell in chunk]
 
     def grid(values: Iterable, dtype: type = float) -> np.ndarray:
         return np.array(list(values), dtype=dtype).reshape(axis_vd.size, axis_vr.size)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import SourceConfig
 from .losses import unit_transmissions
-from .statistics import PairKind
+from .statistics import PairKind, ParameterError
 
 # fixed sampling block size: partial histograms merge associatively, so the
 # result is independent of how blocks are distributed over workers
@@ -67,7 +67,7 @@ def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
     identical histogram.
     """
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise ParameterError("samples", f"must be >= 1, got {samples}")
     transmissions = unit_transmissions(cfg.mux, cfg.units)
     accepted = None if cfg.strategy.is_threshold else np.array(sorted(cfg.strategy.accepted))
     efficiency = cfg.detector.efficiency

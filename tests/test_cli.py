@@ -182,6 +182,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("table", "--workers", "0"), ("table", "--workers", "-2"), ("map", "--workers", "0"),
+         ("evaluate", "--mc-check", "-5"), ("evaluate", "--mc-check", "0"), ("optimize", "--mc-check", "0")],
+    )
+    def test_run_flag_below_one_is_2(self, command, flag, value, tmp_path, capsys):
+        # checked by the library function that reads the value (run_tasks, simulate)
+        path = write_config(tmp_path, MINIMAL + "\n[sweep]\nvd_values = 0.9\nvr_values = 0.9,0.95\n")
+        status, out, err = run_cli([command, "--config", path, flag, value], capsys)
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"config error: {flag}: must be >= 1, got {value}" in err
+
     def test_unwritable_output_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path)
         status, _, err = run_cli(

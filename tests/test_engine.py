@@ -307,6 +307,41 @@ class TestInvariants:
                     at = replace(cfg, units=n, strategy=strategy, dist=replace(cfg.dist, mean=float(mean)), i_max=1)
                     assert value == pytest.approx(output_reference(at)[1], abs=5 * cfg.tail_tol)
 
+    @pytest.mark.parametrize(
+        "muxes, units",
+        [
+            ((MultiplexerModel.symmetric_spatial(0.9), MultiplexerModel.symmetric_spatial(0.95)), (1, 4, 16)),
+            ((MultiplexerModel.binary_bulk_time(0.95, 0.9, 0.99), MultiplexerModel.binary_bulk_time(0.9, 0.97, 0.98)),
+             (1, 8)),
+            ((MultiplexerModel.time_chain(0.9), MultiplexerModel.time_chain(0.96, 0.9)), (1, 5)),
+            ((MultiplexerModel.time_loop_latest(0.9), MultiplexerModel.time_loop_latest(0.95, min_cycles=0)), (1, 6)),
+        ],
+        ids=["tree", "btm", "chain", "loop-latest"],
+    )
+    def test_mixed_multiplexer_lanes_equal_separate_calls(self, muxes, units):
+        # the same unit counts behind two multiplexers: each lane keeps its own transmissions
+        cfg = SourceConfig(
+            PairDistribution(PairKind.POISSONIAN, 0.5), DetectorModel(0.8), HeraldingStrategy.threshold(), muxes[0], 1
+        )
+        kinds = (HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(2))
+        strategies = [strategy for strategy in kinds for _ in units]
+        units = list(units) * len(kinds)
+        shared = np.array([0.01, 0.4, 1.3, 3.9])
+        per_lane = np.outer(np.linspace(0.5, 1.0, len(units)), shared)  # the same rows behind each multiplexer
+        for means in (shared, per_lane):
+            both = p1_profile(
+                cfg,
+                np.concatenate([means, means]) if means.ndim == 2 else means,
+                profile_lanes(cfg, units * 2, strategies * 2, [mux for mux in muxes for _ in units], max_mean=20.0),
+                photons=range(9),
+            )
+            for mux, merged in zip(muxes, np.split(both, 2, axis=1)):
+                alone = replace(cfg, mux=mux)
+                lanes = profile_lanes(alone, units, strategies, max_mean=20.0)
+                assert np.array_equal(merged, p1_profile(alone, means, lanes, photons=range(9)))
+        with pytest.raises(ValueError):
+            profile_lanes(cfg, [1, 1], muxes=muxes[:1], max_mean=1.0)  # one multiplexer for two lanes
+
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
         for bad in (-0.1, np.nan):

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from muxsps import optimize
+from muxsps import engine, optimize
 from muxsps.engine import SourceConfig, output_distribution
 from muxsps.losses import MultiplexerModel
 from muxsps.optimize import (
+    LAMBDA_MAX,
     LAMBDA_TOL,
     OptimizationResult,
     StrategyScanResult,
@@ -267,6 +268,43 @@ class TestComparisonMap:
         monkeypatch.setattr(optimize, "maximize_over_lambda", no_search)
         with pytest.raises(ParameterError, match="j_max"):
             comparison_map([0.9], [0.9], j_max=11)
+
+    def test_chunked_map_equals_per_cell_searches(self, monkeypatch):
+        # a V_r axis longer than one chunk, so one V_D row spans two lane searches
+        vd, vrs, candidates = 0.85, np.round(np.linspace(0.7, 1.0, 13), 3), [1, 2, 4, 8]
+        assert vrs.size > optimize.MAP_CHUNK_CELLS
+        strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.up_to(1), HeraldingStrategy.up_to(2)]
+        exact = ("n_opt_threshold", "n_opt_spd", "j_opt")
+
+        def alone(vr):
+            template = replace(tree_template(vd, vr, HeraldingStrategy.threshold()), tail_tol=1e-12)
+            threshold, spd, up_to_2 = optimize_strategies(template, strategies, candidates)
+            best = max((up_to_2, spd), key=lambda r: r.p1_max)  # ties go to the smaller cutoff
+            return dict(
+                n_opt_threshold=threshold.n_opt, p1_threshold=threshold.p1_max, lambda_opt_threshold=threshold.lambda_opt,
+                n_opt_spd=spd.n_opt, p1_spd=spd.p1_max, lambda_opt_spd=spd.lambda_opt,
+                j_opt=1 if best is spd else 2, p1_jopt=best.p1_max,
+            )
+
+        def cells(workers, progress=None):
+            grid = comparison_map([vd], vrs, j_max=2, n_candidates=candidates, workers=workers, progress=progress)
+            return [{name: getattr(grid, name)[0, b] for name in alone(vrs[0])} for b in range(vrs.size)]
+
+        done = []
+        chunked = cells(1, lambda k, total: done.append((k, total)))
+        assert done == [(k, vrs.size) for k in range(1, vrs.size + 1)]  # once per cell, in grid order
+        assert cells(2) == chunked
+        for vr, cell in zip(vrs, chunked):
+            # a chunk shares one series length per call, which moves P_1 at the rounding level
+            want = alone(vr)
+            for name, value in cell.items():
+                tol = 0 if name in exact else LAMBDA_TOL if name.startswith("lambda") else 1e-12
+                assert value == pytest.approx(want[name], abs=tol), (vr, name)
+
+        # with one series length for every call the chunked search is the per-cell search, bit for bit
+        series_length = engine._series_length
+        monkeypatch.setattr(engine, "_series_length", lambda cfg, mean, units: series_length(cfg, LAMBDA_MAX, 1024))
+        assert cells(1) == [alone(vr) for vr in vrs]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
