@@ -40,7 +40,7 @@ _SECTION_KEYS = {
     "optimizer": ("tail_tol", "i_max", "n_candidates", "j_max"),
     "sweep": ("vd_values", "vr_values", "n_values", "lambda_values", "strategies", "pair_kinds"),
 }
-_FLAG_PARAMS = {"workers": "--workers", "samples": "--mc-check"}
+_FLAG_PARAMS = {"workers": "--workers", "samples": "--mc-check", "seed": "--seed"}
 
 
 class ConfigError(ValueError):

@@ -8,6 +8,13 @@ serves as an independent check on the exact engine.
 A key physical constraint encoded here: survivors are drawn from the l
 generated signal photons, not from the detected idler count; detector
 efficiency acts only on the idler arm.
+
+Each visited unit draws its pair number l and detector reading r from one
+uniform, by inverse CDF over the (l, r) states with a guide table (Chen's
+method).  Readings go up to the largest accepted count; all higher counts
+are one overflow reading, which heralds only under threshold heralding.
+l runs until the pair tail left out is below 2**-60, under a uniform's
+2**-53 resolution, and the last state takes that remainder.
 """
 
 from __future__ import annotations
@@ -19,11 +26,13 @@ import numpy as np
 
 from .engine import SourceConfig
 from .losses import unit_transmissions
-from .statistics import PairKind, ParameterError
+from .statistics import PairDistribution, PairKind, ParameterError
 
 # fixed sampling block size: partial histograms merge associatively, so the
 # result is independent of how blocks are distributed over workers
 BLOCK_SIZE = 1 << 16
+# log of the pair tail a state table may leave out: 2**-60
+_LOG_TAIL = -60.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -49,28 +58,83 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
 
 
-def _draw_pairs(rng: np.random.Generator, cfg: SourceConfig, size: int) -> np.ndarray:
-    mean = cfg.dist.mean
-    if cfg.dist.kind is PairKind.POISSONIAN:
-        return rng.poisson(mean, size=size)
-    # thermal pair numbers are geometric on {0, 1, ...}
-    return rng.geometric(1.0 / (1.0 + mean), size=size) - 1
+def _pair_pmf(dist: PairDistribution) -> np.ndarray:
+    """P(l pairs) for l = 0..L, the first L whose tail beyond it is below 2**-60.
+
+    t(l + 1) = t(l) q(l), with q(l) = mean / (l + 1) (Poissonian) or mean / (1 + mean)
+    (thermal).  q falls with l, so once q(l) < 1 the tail beyond t(l) is at most
+    t(l) q(l) / (1 - q(l)).
+    """
+    mean, thermal = dist.mean, dist.kind is PairKind.THERMAL
+    log_term = -math.log1p(mean) if thermal else -mean
+    terms = []
+    while True:
+        terms.append(math.exp(log_term))
+        q = mean / (1.0 + mean) if thermal else mean / len(terms)
+        if q == 0.0 or (q < 1.0 and log_term + math.log(q / (1.0 - q)) < _LOG_TAIL):
+            return np.array(terms)
+        log_term += math.log(q)
+
+
+def _reading_pmf(efficiency: float, top: int, length: int) -> np.ndarray:
+    """P(reading r | l pairs) for l < length and r = 0..top + 1.
+
+    Reading top + 1 is the overflow, any count above top.  A count first
+    passes top when a photon is detected at a count of exactly top, so the
+    overflow column is a running sum of column top.
+    """
+    ls, rs = np.arange(length)[:, None], np.arange(top + 1)
+    # C(l, r) = C(l, r - 1) * (l - r + 1) / r, which stays 0 once r > l
+    steps = np.where(rs > 0, np.maximum(ls - rs + 1, 0) / np.maximum(rs, 1), 1.0)
+    pmf = np.cumprod(steps, axis=1) * efficiency**rs * (1.0 - efficiency) ** np.maximum(ls - rs, 0)
+    overflow = efficiency * np.concatenate([[0.0], np.cumsum(pmf[:-1, top])])
+    return np.column_stack([pmf, overflow])
+
+
+def _states(cfg: SourceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, guide, pairs, heralded) of a unit's (pairs, reading) states of nonzero probability.
+
+    The last state's cdf is inf, so it takes the remainder; guide[b] is the
+    first state whose cdf exceeds b / guide.size.
+    """
+    top = 0 if cfg.strategy.is_threshold else max(cfg.strategy.accepted)
+    heralds = np.zeros(top + 2, dtype=bool)  # by reading
+    heralds[[top + 1] if cfg.strategy.is_threshold else list(cfg.strategy.accepted)] = True
+    pair_pmf = _pair_pmf(cfg.dist)
+    joint = (pair_pmf[:, None] * _reading_pmf(cfg.detector.efficiency, top, pair_pmf.size)).ravel()
+    kept = np.flatnonzero(joint)
+    cdf = np.cumsum(joint[kept])
+    cdf[-1] = np.inf
+    buckets = 1 << (2 * kept.size).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    return cdf, guide, kept // (top + 2), heralds[kept % (top + 2)]
+
+
+def _draw_states(rng: np.random.Generator, cdf: np.ndarray, guide: np.ndarray, size: int) -> np.ndarray:
+    """Inverse-CDF draw of ``size`` state indices, one uniform each (Chen's guide table)."""
+    u = rng.random(size)
+    index = guide[(u * guide.size).astype(np.intp)]
+    index += cdf[index] <= u  # one step settles nearly every draw
+    late = np.flatnonzero(cdf[index] <= u)
+    index[late] = np.searchsorted(cdf, u[late], side="right")
+    return index
 
 
 def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
     """Sample ``samples`` pulse periods of the configured source.
 
     Each sample walks the units in priority order: draw the generated pair
-    number, draw the detected idler count, and on the first herald draw the
-    surviving signal photons and stop.  Pulses with no herald contribute to
+    number and the detector reading together, and on the first herald draw
+    the surviving signal photons and stop.  Pulses with no herald contribute to
     the zero-photon bin.  Identical (cfg, samples, seed) always produce the
     identical histogram.
     """
     if samples < 1:
         raise ParameterError("samples", f"must be >= 1, got {samples}")
+    if seed < 0:
+        raise ParameterError("seed", f"must be >= 0, got {seed}")
     transmissions = unit_transmissions(cfg.mux, cfg.units)
-    accepted = None if cfg.strategy.is_threshold else np.array(sorted(cfg.strategy.accepted))
-    efficiency = cfg.detector.efficiency
+    cdf, guide, pairs, heralding = _states(cfg)
 
     counts = np.zeros(cfg.i_max + 1, dtype=np.int64)
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -82,14 +146,10 @@ def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
         for n in range(1, cfg.units + 1):
             if active.size == 0:
                 break
-            pairs = _draw_pairs(rng, cfg, active.size)
-            detected = rng.binomial(pairs, efficiency)
-            if accepted is None:
-                heralded = detected >= 1
-            else:
-                heralded = np.isin(detected, accepted)
+            drawn = _draw_states(rng, cdf, guide, active.size)
+            heralded = heralding[drawn]
             if heralded.any():
-                emitted[active[heralded]] = rng.binomial(pairs[heralded], transmissions[n - 1])
+                emitted[active[heralded]] = rng.binomial(pairs[drawn[heralded]], transmissions[n - 1])
             active = active[~heralded]
         block_counts = np.bincount(emitted)
         if block_counts.size > counts.size:

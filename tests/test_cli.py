@@ -196,6 +196,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert f"config error: {flag}: must be >= 1, got {value}" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_negative_seed_is_2(self, command, tmp_path, capsys):
+        # checked by simulate, which seeds one Philox stream per (seed, block)
+        path = write_config(tmp_path)
+        status, out, err = run_cli([command, "--config", path, "--mc-check", "1000", "--seed", "-1"], capsys)
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "config error: --seed: must be >= 0, got -1" in err
+
     def test_unwritable_output_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path)
         status, _, err = run_cli(

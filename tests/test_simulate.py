@@ -1,7 +1,9 @@
 """Sampled-pipeline oracle: reproducibility and agreement with the engine."""
 
+import importlib
 import math
 
+import numpy as np
 import pytest
 
 from muxsps.engine import SourceConfig, output_distribution
@@ -20,8 +22,15 @@ def tree_config(mean, eff, router, units, strategy=None, kind=PairKind.POISSONIA
     )
 
 
+# the package re-exports the function ``simulate`` under the module's name
+sampler = importlib.import_module("muxsps.simulate")
+
+
 def test_no_pairs_all_vacuum():
-    est = simulate(tree_config(0.0, 0.9, 0.9, 4), 10_000, seed=1)
+    cfg = tree_config(0.0, 0.9, 0.9, 4)
+    cdf, _, pairs, heralded = sampler._states(cfg)
+    assert cdf.size == 1 and pairs.tolist() == [0] and not heralded.any()
+    est = simulate(cfg, 10_000, seed=1)
     assert est.counts[0] == 10_000
     assert est.p_hat[0] == 1.0
 
@@ -90,3 +99,93 @@ def test_sigma_handles_empty_bins():
 def test_rejects_nonpositive_samples():
     with pytest.raises(ValueError):
         simulate(tree_config(0.5, 0.9, 0.9, 2), 0, seed=1)
+
+
+def test_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        simulate(tree_config(0.5, 0.9, 0.9, 2), 10, seed=-1)
+
+
+@pytest.mark.parametrize("efficiency", [0.0, 0.05, 0.6, 0.999, 1.0])
+@pytest.mark.parametrize("top", [0, 1, 10])
+def test_every_reading_row_sums_to_one(efficiency, top):
+    readings = sampler._reading_pmf(efficiency, top, 900)
+    assert readings.shape == (900, top + 2)
+    assert (readings >= 0.0).all()
+    assert np.abs(readings.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_readings_match_the_binomial_pmf():
+    readings = sampler._reading_pmf(0.3, 2, 8)
+    for l in range(8):
+        exact = [math.comb(l, r) * 0.3**r * 0.7 ** (l - r) for r in range(l + 1)] + [0.0] * 3
+        assert readings[l] == pytest.approx(exact[:3] + [math.fsum(exact[3:])], abs=1e-15)
+
+
+@pytest.mark.parametrize("mean", [1e-4, 0.5, 1.0, 5.0, 20.0])
+def test_poissonian_pair_tail_left_out_is_below_resolution(mean):
+    pmf = sampler._pair_pmf(PairDistribution(PairKind.POISSONIAN, mean))
+    tail = math.fsum(math.exp(l * math.log(mean) - mean - math.lgamma(l + 1)) for l in range(pmf.size, pmf.size + 500))
+    assert tail < 2.0**-53
+    assert pmf == pytest.approx([math.exp(l * math.log(mean) - mean - math.lgamma(l + 1)) for l in range(pmf.size)], rel=1e-12)
+
+
+@pytest.mark.parametrize("mean", [1e-4, 0.8, 20.0])
+def test_thermal_pair_tail_left_out_is_below_resolution(mean):
+    pmf = sampler._pair_pmf(PairDistribution(PairKind.THERMAL, mean))
+    ratio = mean / (1.0 + mean)
+    # the tail beyond l is ratio**(l + 1): below 2**-60 at the last row, not before it
+    assert ratio**pmf.size < 2.0**-60 <= ratio ** (pmf.size - 1)
+    assert pmf == pytest.approx(ratio ** np.arange(pmf.size) / (1.0 + mean), rel=1e-12)
+
+
+def test_zero_efficiency_gives_only_vacuum():
+    cfg = tree_config(2.0, 0.0, 0.9, 4, strategy=HeraldingStrategy.threshold())
+    assert not sampler._states(cfg)[3].any()  # no state heralds: every reading is 0
+    assert simulate(cfg, 100_000, seed=7).counts[0] == 100_000
+
+
+def test_unit_efficiency_single_photon_agrees_with_engine():
+    cfg = tree_config(0.6, 1.0, 0.9, 4)
+    est = simulate(cfg, 1_000_000, seed=23)
+    exact = output_distribution(cfg)
+    for i in range(4):
+        assert est.sigma(i, exact[i]) <= 4.0
+
+
+def test_bright_thermal_source_table_size_and_agreement():
+    cfg = tree_config(20.0, 0.8, 0.9, 4, strategy=HeraldingStrategy.up_to(10), kind=PairKind.THERMAL)
+    cdf = sampler._states(cfg)[0]
+    assert cdf.size <= 12 * sampler._pair_pmf(cfg.dist).size
+    est = simulate(cfg, 1_000_000, seed=29)
+    exact = output_distribution(cfg)
+    for i in range(4):
+        assert est.sigma(i, exact[i]) <= 4.0
+
+
+@pytest.mark.parametrize(
+    "strategy, heralding_pairs",
+    [(HeraldingStrategy.threshold(), range(1, 100)), (HeraldingStrategy.single_photon(), {1}),
+     (HeraldingStrategy(frozenset({2, 3})), {2, 3})],
+)
+def test_overflow_reading_heralds_only_under_threshold(strategy, heralding_pairs):
+    # at unit efficiency the reading is min(pairs, top + 1), so every state above the
+    # largest accepted count reads the overflow
+    _, _, pairs, heralded = sampler._states(tree_config(2.0, 1.0, 0.9, 2, strategy=strategy))
+    assert pairs.max() > 4
+    assert heralded.tolist() == [int(l) in heralding_pairs for l in pairs]
+
+
+@pytest.mark.parametrize("kind", list(PairKind))
+def test_guide_table_draw_equals_plain_inverse_cdf(kind):
+    cdf, guide, _, _ = sampler._states(tree_config(1.5, 0.7, 0.9, 2, strategy=HeraldingStrategy.up_to(3), kind=kind))
+    drawn = sampler._draw_states(np.random.default_rng(3), cdf, guide, 200_000)
+    u = np.random.default_rng(3).random(200_000)
+    assert np.array_equal(drawn, np.searchsorted(cdf, u, side="right"))
+
+
+def test_sampler_binds_no_engine_series():
+    # the sampler is an oracle for the series engine, so it computes its own pmfs
+    shared = {"pmf_array", "herald_weights", "binomial_coefficients", "log_factorials", "truncation_length",
+              "p1_profile", "output_distribution"}
+    assert shared.isdisjoint(vars(sampler))
