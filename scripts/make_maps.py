@@ -3,8 +3,8 @@
 
 The full 0.01-step map (71 x 71 cells; each chunk of up to 12 cells of one
 detector efficiency is one pump-mean search over the threshold and cutoff
-lanes of every router transmission and unit count) took 11 s with
---workers 2 (19 s with one) on a 2-vCPU VM; the default step of 0.05
+lanes of every router transmission and unit count) took 8-12 s with
+--workers 2 (10-17 s with one) on a 2-vCPU VM; the default step of 0.05
 takes about 1 s and is enough to see the structure.
 
 Usage:

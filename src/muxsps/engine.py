@@ -17,8 +17,8 @@ forms, kept here as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,40 +111,99 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     return OutputDistribution(tuple(probs.tolist()), 1.0 - float(probs.sum()))
 
 
+# with one row of means per lane, a lane sums its series length plus one
+# terms rounded up to a multiple of this, so a call has a few widths, each set
+# by its lanes' own lengths; 66 terms serve a mean of 20 at 1024 units
+_WIDTH = 33
+
+
 @dataclass(frozen=True, eq=False)
 class ProfileLanes:
     """Per-search constants of ``p1_profile``: a lane is a (strategy, multiplexer, unit count).
 
-    ``weights`` has one herald-weight row per distinct strategy, long enough
-    for every mean up to ``max_mean``, and ``row`` picks a lane's row; the
-    detector is shared.  ``joined`` concatenates the unit transmissions of
-    every distinct (multiplexer, unit count) pair, ``offsets`` holds each
-    lane's start in it, and ``uniform`` marks lanes whose units all share
-    one transmission.
+    ``weights`` has one herald-weight row per distinct strategy, as long as
+    the series ``length`` of means up to ``max_mean`` rounded up to whole
+    widths, and ``row`` picks a lane's row; the detector is shared.
+    ``joined`` concatenates the unit transmissions of every distinct
+    (multiplexer, unit count) pair, ``offsets`` holds each lane's start in
+    it, and ``uniform`` marks lanes whose units all share one transmission,
+    ``transmissions[tx]``.  ``with_series`` fixes each lane's own series for
+    calls with one row of means per lane: its means stay within ``bound``, it
+    sums ``width`` terms, and ``survive`` holds each herald-weight row times
+    the survivor polynomial of each transmission, for each of ``photons``.
     """
 
     units: np.ndarray
     row: np.ndarray
     offsets: np.ndarray
     uniform: np.ndarray
+    tx: np.ndarray
     weights: np.ndarray
     joined: np.ndarray
+    transmissions: np.ndarray
     max_mean: float
+    length: int
+    photons: tuple[int, ...] = ()
+    bound: np.ndarray | None = None
+    width: np.ndarray | None = None
+    survive: np.ndarray | None = None
 
     def take(self, index: np.ndarray) -> ProfileLanes:
-        """The lanes at ``index``, sharing weights and transmissions."""
-        per_lane = (self.units[index], self.row[index], self.offsets[index], self.uniform[index])
-        return ProfileLanes(*per_lane, self.weights, self.joined, self.max_mean)
+        """The lanes at ``index``, sharing every per-search table."""
+        per_lane = ("units", "row", "offsets", "uniform", "tx", "bound", "width")
+        return replace(self, **{name: getattr(self, name)[index] for name in per_lane if getattr(self, name) is not None})
+
+    def with_series(self, cfg: SourceConfig, bound: np.ndarray, photons: tuple[int, ...]) -> ProfileLanes:
+        """These lanes, each with its own series for means up to its ``bound``.
+
+        A lane's series length is ``_series_length`` at its bound and the
+        lanes' largest unit count, at most ``length``.  Lengths grow with the
+        mean, so a few searches find where the rounded widths step.  A lane
+        with many transmissions is summed alone, over its exact length.
+        """
+        bound, units = np.array(bound, dtype=float), int(self.units.max())
+
+        def terms(mean: float) -> int:
+            return min(_series_length(cfg, mean, units), self.length) + 1
+
+        means, at = np.unique(bound, return_inverse=True)
+        width = np.array(_stepwise(lambda mean: -(-terms(mean) // _WIDTH) * _WIDTH, means.tolist()))[at]
+        many = np.flatnonzero(~self.uniform)
+        width[many] = [terms(mean) for mean in bound[many].tolist()]
+        ls = np.arange(width.max())
+        comb, weights = binomial_coefficients(max(photons), ls.size - 1), self.weights[:, None, : ls.size]
+        survive = np.zeros((len(photons), len(weights), self.transmissions.size, ls.size))
+        for k, i in enumerate(photons):
+            poly = _survivor_polynomial(self.transmissions, i, comb[i, i:], ls[: max(ls.size - i, 0)])
+            survive[k, ..., : max(ls.size - i, 0)] = weights[..., i:] * poly
+        return replace(self, photons=photons, bound=bound, width=width, survive=survive)
+
+
+def _stepwise(f: Callable, xs: list) -> list:
+    """``[f(x) for x in xs]`` for sorted ``xs`` and a nondecreasing ``f`` of few steps, by bisection."""
+    first, last = f(xs[0]), f(xs[-1])
+    if first == last or len(xs) < 3:
+        return [first] * (len(xs) - 1) + [last]
+    half = len(xs) // 2
+    return _stepwise(f, xs[: half + 1])[:-1] + _stepwise(f, xs[half:])
 
 
 def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
-    """Pair-count cutoff of a profile: one truncation at its largest mean and unit count.
+    """Pair-count cutoff of a series: one truncation at its largest mean and unit count.
 
     The tail left out is below ``cfg.tail_tol / max_units``, since the
     priority sum over units amplifies the truncated herald mass by up to
     about the unit count.
     """
     return max(1, truncation_length(PairDistribution(cfg.dist.kind, max_mean), cfg.tail_tol / max_units))
+
+
+def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order and each item's index among them, hashing each object once."""
+    ids = list(map(id, items))
+    index: dict = {}
+    at = {key: index.setdefault(item, len(index)) for key, item in dict(zip(ids, items)).items()}
+    return list(index), np.array(list(map(at.__getitem__, ids)))
 
 
 def profile_lanes(
@@ -159,30 +218,46 @@ def profile_lanes(
 
     ``strategies`` and ``muxes`` give each lane's heralding strategy and
     multiplexer (default ``cfg.strategy`` and ``cfg.mux`` for every lane).
-    The herald weights are computed once here, at the truncation point of
-    ``max_mean`` and the largest unit count, which bounds the tail of every
-    smaller mean and unit count too.
+    The herald weights are computed once here, to the truncation point of
+    ``max_mean`` and the largest unit count (which bounds the tail of every
+    smaller mean and unit count too) rounded up to whole widths.
     """
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
     muxes = (cfg.mux,) * units.size if muxes is None else tuple(muxes)
     if units.ndim != 1 or units.size == 0 or not len(strategies) == len(muxes) == units.size:
         raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy and multiplexer per lane")
-    distinct = tuple(dict.fromkeys(strategies))
+    distinct, row = _distinct(strategies)
     for strategy in distinct:
         strategy.validate_for(cfg.detector)
-    l_max = _series_length(cfg, max_mean, int(units.max()))
-    keys = list(zip(muxes, units.tolist()))
+    length = _series_length(cfg, max_mean, int(units.max()))
+    models, model = _distinct(muxes)
+    keys = list(zip(model.tolist(), units.tolist()))
     which = {key: k for k, key in enumerate(dict.fromkeys(keys))}
     sizes = np.array([n for _, n in which])
-    joined = np.concatenate([unit_transmissions(mux, n) for mux, n in which])
+    joined = np.concatenate([unit_transmissions(models[m], n) for m, n in which])
     starts = sizes.cumsum() - sizes
     uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
-    lane_key = np.array([which[key] for key in keys])
-    weights = np.array([herald_weights(s, cfg.detector, l_max) for s in distinct])
-    rows = {s: r for r, s in enumerate(distinct)}
-    row = np.array([rows[s] for s in strategies])
-    return ProfileLanes(units, row, starts[lane_key], uniform[lane_key], weights, joined, float(max_mean))
+    transmissions = np.unique(joined[starts[uniform]])
+    tx = np.searchsorted(transmissions, joined[starts])  # read for uniform lanes only
+    lane_key = np.array(list(map(which.__getitem__, keys)))
+    # as long as any lane's rounded width
+    weights = np.array([herald_weights(s, cfg.detector, -(-(length + 1) // _WIDTH) * _WIDTH - 1) for s in distinct])
+    per_lane = (units, row, starts[lane_key], uniform[lane_key], tx[lane_key])
+    return ProfileLanes(*per_lane, weights, joined, transmissions, float(max_mean), length)
+
+
+def _priority_sum(out: np.ndarray, wanted: tuple[int, ...], pick: np.ndarray, units: np.ndarray, p: np.ndarray, sums) -> None:
+    """``out[:, pick]`` of lanes whose units share one transmission, from a unit's herald probability and sums."""
+    # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
+    # keeps it finite at p = 0 (limit: units) and at p = 1
+    q = np.minimum(np.maximum(p, _TINY), _BELOW_ONE)
+    geometric = -np.expm1(units[:, None] * np.log1p(-q)) / q
+    for k, i in enumerate(wanted):
+        values = sums[k] * geometric
+        if i == 0:  # no unit heralds
+            values += np.maximum(1.0 - p, 0.0) ** units[:, None]
+        out[k, pick] = values
 
 
 def p1_profile(
@@ -209,15 +284,19 @@ def p1_profile(
     multiplexer and unit count for lanes with many transmissions), and the
     priority sum in closed geometric form for a lane whose units all share
     one transmission.  P_0 also holds the no-herald term miss**units, and
-    photon numbers beyond the series are 0.  One truncation point, taken at
-    the largest mean and unit count, serves the whole call.  Means must be
-    non-negative.
+    photon numbers beyond the series are 0.  Shared means take one
+    truncation point, at the largest mean and unit count.  With one row of
+    means per lane, each lane is summed over its own series
+    (``ProfileLanes.with_series``, at each row's largest mean unless the
+    lanes carry their series), so its values do not depend on the other
+    lanes of the call.  Means must be non-negative.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
         raise ValueError("means must be a non-empty 1-d array, or one row per lane, of non-negative values")
     top = float(means.max())
-    if not isinstance(lanes, ProfileLanes):
+    built = not isinstance(lanes, ProfileLanes)
+    if built:
         lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=top)
     per_lane = means.ndim == 2
     if per_lane and len(means) != lanes.units.size:
@@ -228,54 +307,69 @@ def p1_profile(
     wanted = (int(photons),) if one else tuple(int(i) for i in photons)
     if min(wanted) < 0:
         raise ValueError(f"photon numbers must be >= 0, got {wanted}")
-    # the lanes' own cutoff already bounds the tail, so a rounding-level
-    # overshoot of the recurrence near max_mean cannot outgrow the weights
-    l_max = min(_series_length(cfg, top, int(lanes.units.max())), lanes.weights.shape[1] - 1)
-    comb = binomial_coefficients(max(wanted), l_max)
-
-    pair = pmf_array(cfg.dist.kind, means, l_max)
-    weights = lanes.weights[:, : l_max + 1]  # equal to weights computed at l_max
-    if per_lane:  # one mass row per lane, with its own means
-        mass = pair * weights[lanes.row][:, None, :]
-        source = np.arange(lanes.units.size)
-    else:  # one mass row per strategy, over the shared means
-        mass = pair[None] * weights[:, None, :]
-        source = lanes.row
-    p_herald = mass.sum(axis=-1)  # (mass rows, means)
 
     out = np.zeros((len(wanted), lanes.units.size, means.shape[-1]))
-    ls = np.arange(l_max + 1)
-    in_series = [(k, i, comb[i, i:], ls[: l_max + 1 - i]) for k, i in enumerate(wanted) if i <= l_max]
-    same = np.flatnonzero(lanes.uniform)
-    if same.size:
+    same, many = np.flatnonzero(lanes.uniform), np.flatnonzero(~lanes.uniform)
+    if per_lane:
+        if lanes.photons != wanted:
+            lanes = lanes.with_series(cfg, means.max(axis=1) if lanes.bound is None else lanes.bound, wanted)
+        if (means.max(axis=1) > lanes.bound).any():
+            raise ValueError("means reach beyond the series bound of their lanes")
+        if same.size:
+            herald, sums, widths = np.empty(out.shape[1:]), np.empty(out.shape), lanes.width[same]
+            for w in set(widths.tolist()):  # one pmf and two row dots per width
+                pick = same[widths == w]
+                pair, row = pmf_array(cfg.dist.kind, means[pick], w - 1), lanes.row[pick]
+                herald[pick] = np.vecdot(pair, lanes.weights[row, None, :w])
+                for k, i in enumerate(wanted):
+                    sums[k, pick] = np.vecdot(pair[..., i:], lanes.survive[k, row, lanes.tx[pick], None, : max(w - i, 0)])
+            _priority_sum(out, wanted, same, lanes.units[same], herald[same], sums[:, same])
+        if many.size:  # one pmf; each lane reads its own terms, and running sums stop its herald probability there
+            terms, at = lanes.width[many], dict(zip(many.tolist(), range(many.size)))
+            masses = pmf_array(cfg.dist.kind, means[many], terms.max() - 1)
+            masses *= lanes.weights[lanes.row[many], None, : masses.shape[-1]]
+            totals = np.cumsum(masses, axis=-1)[np.arange(many.size), :, terms - 1]
+
+        def mass_of(lane: int) -> tuple[np.ndarray, np.ndarray]:
+            return masses[at[lane], :, : lanes.width[lane]], totals[at[lane]]
+
+    else:
+        # a series of lanes built here is already cut at ``top``; otherwise the
+        # lanes' own cutoff bounds the tail, so a rounding-level overshoot of
+        # the recurrence near max_mean cannot outgrow the weights
+        l_max = lanes.length
+        if not built:
+            l_max = min(_series_length(cfg, top, int(lanes.units.max())), l_max)
+        comb = binomial_coefficients(max(wanted), l_max)
+        ls = np.arange(l_max + 1)
+        pair = pmf_array(cfg.dist.kind, means, l_max)
+        mass = pair * lanes.weights[:, None, : l_max + 1]  # one mass row per strategy
+        rows = mass.sum(axis=-1)
         # one survivor polynomial per distinct transmission, indexed per lane
-        transmissions, inverse = np.unique(lanes.joined[lanes.offsets[same]], return_inverse=True)
-        polys = [(k, i, _survivor_polynomial(transmissions, i, c, e)[:, :, None]) for k, i, c, e in in_series]
-        # mass rows: the lanes' own, or one herald-weight row at a time, so
-        # that only ``out`` spans lanes x shared means
-        if per_lane:
-            groups = [(same, np.arange(same.size))]
-        else:
-            groups = [(r, np.flatnonzero(source[same] == r)) for r in sorted(set(source[same].tolist()))]
-        for r, pick in groups:
-            # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the
-            # clip keeps it finite at p = 0 (limit: units) and at p = 1
-            p = np.minimum(np.maximum(p_herald[r], _TINY), _BELOW_ONE)
-            geometric = -np.expm1(lanes.units[same[pick], None] * np.log1p(-p)) / p
-            for k, i, poly in polys:
-                out[k, same[pick]] = (mass[r, :, i:] @ poly[inverse[pick]])[..., 0] * geometric
-    mixed = ~lanes.uniform
-    for start in sorted(set(lanes.offsets[mixed].tolist())):
-        group = np.flatnonzero(mixed & (lanes.offsets == start))
+        polys = [_survivor_polynomial(lanes.transmissions, i, comb[i, i:], ls[: max(l_max + 1 - i, 0)]) for i in wanted]
+        for r in range(len(rows)):  # a herald-weight row at a time, so only ``out`` spans lanes x means
+            pick = same[lanes.row[same] == r]
+            if pick.size:  # one matrix-vector product per transmission, read per lane
+                sums = [(mass[r, :, i:] @ poly[:, :, None])[lanes.tx[pick], :, 0] for i, poly in zip(wanted, polys)]
+                _priority_sum(out, wanted, pick, lanes.units[pick], rows[r], sums)
+
+        def mass_of(lane: int) -> tuple[np.ndarray, np.ndarray]:
+            return mass[lanes.row[lane]], rows[lanes.row[lane]]
+
+    for start in sorted(set(lanes.offsets[many].tolist())):
+        group = many[lanes.offsets[many] == start]
         n = int(lanes.units[group[0]])
-        for k, i, counts, exponents in in_series:
-            poly = _survivor_polynomial(lanes.joined[start : start + n], i, counts, exponents).T
-            for lane in group:  # lane by lane, so no temporary outgrows one lane's (means, units)
-                priority = _no_herald_weights(1.0 - p_herald[source[lane]], n)
-                out[k, lane] = np.einsum("kn,kn->k", priority, mass[source[lane], :, i:] @ poly)
-    for k, i in enumerate(wanted):
-        if i == 0:  # no unit heralds
-            out[k] += np.maximum(1.0 - p_herald[source], 0.0) ** lanes.units[:, None]
+        group_masses = [mass_of(lane) for lane in group]
+        size = max(lane_mass.shape[-1] for lane_mass, _ in group_masses)
+        comb, ls = binomial_coefficients(max(wanted), size - 1), np.arange(size)
+        polys = [_survivor_polynomial(lanes.joined[start : start + n], i, comb[i, i:], ls[: max(size - i, 0)]).T for i in wanted]
+        for lane, (lane_mass, p) in zip(group, group_masses):  # lane by lane, so no temporary outgrows one lane's (means, units)
+            priority = _no_herald_weights(1.0 - p, n)
+            for k, (i, poly) in enumerate(zip(wanted, polys)):
+                if i < lane_mass.shape[-1]:
+                    out[k, lane] = np.einsum("kn,kn->k", priority, lane_mass[:, i:] @ poly[: lane_mass.shape[-1] - i])
+                if i == 0:  # no unit heralds
+                    out[k, lane] += np.maximum(1.0 - p, 0.0) ** n
     return out[0] if one else out
 
 

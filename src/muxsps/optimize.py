@@ -125,34 +125,39 @@ def maximize_over_lambda(
     behind multiplexer ``muxes[i]`` (default the template's strategy and
     multiplexer for every lane), one lane of ``p1_profile``; the herald
     weights and transmissions are computed once for the whole search.  A
-    coarse grid scan brackets every lane's peak, then golden-section
-    refinement runs in lockstep over the lanes, each stopping once its
-    bracket is narrower than ``LAMBDA_TOL``.  A lane returns its bracket
-    midpoint, or its best grid point if that is higher (the bracket can be
-    degenerate).
+    coarse grid scan, with one series length at the grid's top, brackets
+    every lane's peak.  Golden-section refinement then runs in lockstep over
+    the lanes, each summed over its own series, fixed at its bracket's upper
+    end, and stopping once its bracket is narrower than ``LAMBDA_TOL``.  A
+    lane returns its bracket midpoint, or its best grid point if that is
+    higher (the bracket can be degenerate).
     """
     grid = _coarse_grid()
     lanes = profile_lanes(cfg_template, units, strategies, muxes, max_mean=float(grid[-1]))
     k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+    lanes = lanes.with_series(cfg_template, hi, (1,))
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = p1_profile(cfg_template, np.stack([c, d], axis=1), lanes).T.copy()
+    fc, fd = p1_profile(cfg_template, np.stack([c, d], axis=1), lanes).T
     live = np.flatnonzero(hi - lo > LAMBDA_TOL)
+    # the live lanes' brackets (low, high), probes (c, d) and values, dropped as lanes finish
+    low, high, c, d, fc, fd = lo[live], hi[live], c[live], d[live], fc[live], fd[live]
     while live.size:
-        left = fc[live] > fd[live]
-        a, b = live[left], live[~left]  # lanes keeping their left / right part
-        hi[a], d[a], fd[a] = d[a], c[a], fc[a]
-        c[a] = hi[a] - _INV_PHI * (hi[a] - lo[a])
-        lo[b], c[b], fc[b] = c[b], d[b], fd[b]
-        d[b] = lo[b] + _INV_PHI * (hi[b] - lo[b])
-        f = p1_profile(cfg_template, np.where(left, c[live], d[live])[:, None], lanes.take(live))[:, 0]
-        fc[a], fd[b] = f[left], f[~left]
-        live = live[hi[live] - lo[live] > LAMBDA_TOL]
+        left = fc > fd  # lanes keeping the left part of their bracket
+        high, low = np.where(left, d, high), np.where(left, low, c)
+        step, kept = _INV_PHI * (high - low), np.where(left, fc, fd)
+        c, d = np.where(left, high - step, d), np.where(left, c, low + step)
+        f = p1_profile(cfg_template, np.where(left, c, d)[:, None], lanes.take(live))[:, 0]
+        fc, fd = np.where(left, f, kept), np.where(left, kept, f)
+        going = high - low > LAMBDA_TOL
+        if not going.all():
+            lo[live[~going]], hi[live[~going]] = low[~going], high[~going]
+            live, low, high, c, d, fc, fd = (x[going] for x in (live, low, high, c, d, fc, fd))
     mid = 0.5 * (lo + hi)
     p1_mid, p1_grid = p1_profile(cfg_template, np.stack([mid, grid[k]], axis=1), lanes).T
     grid_wins = p1_grid > p1_mid
     lam, p1 = np.where(grid_wins, grid[k], mid), np.where(grid_wins, p1_grid, p1_mid)
-    return tuple(CurvePoint(int(n), float(x), float(y)) for n, x, y in zip(lanes.units, lam, p1))
+    return tuple(map(CurvePoint, lanes.units.tolist(), lam.tolist(), p1.tolist()))
 
 
 def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...]:

@@ -154,12 +154,15 @@ def pmf_array(kind: PairKind, means, l_max: int) -> np.ndarray:
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     means = np.asarray(means, dtype=float)[..., None]
-    ls = np.arange(l_max + 1)
+    ls = np.arange(l_max + 1.0)
     if not means.all():  # a stand-in mean of 1 keeps the logs finite; its rows are replaced
         vacuum = means == 0.0
         return np.where(vacuum, ls == 0, pmf_array(kind, np.where(vacuum, 1.0, means)[..., 0], l_max))
-    if kind is PairKind.POISSONIAN:
-        return np.exp(ls * np.log(means) - means - log_factorials(l_max))
+    if kind is PairKind.POISSONIAN:  # in place: no temporaries the size of the terms
+        terms = ls * np.log(means)
+        terms -= means
+        terms -= log_factorials(l_max)
+        return np.exp(terms, out=terms)
     return np.exp(ls * np.log(means / (1.0 + means))) / (1.0 + means)
 
 

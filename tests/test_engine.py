@@ -232,6 +232,28 @@ def random_configs(draw):
     )
 
 
+@st.composite
+def random_lanes(draw):
+    """A config, lanes (unit count, strategy, multiplexer) and two means per lane, some at the λ ceiling."""
+    kind = draw(st.sampled_from(list(PairKind)))
+    eff = draw(st.floats(0.3, 1.0))
+    chain = draw(st.booleans())  # a time chain's lanes have many transmissions
+    count = draw(st.integers(1, 4))
+    kinds = [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3)]
+    strategies = [draw(st.sampled_from(kinds)) for _ in range(count)]
+    if chain:
+        muxes = [MultiplexerModel.time_chain(draw(st.floats(0.5, 1.0))) for _ in range(count)]
+        units = [draw(st.integers(1, 12)) for _ in range(count)]
+    else:
+        muxes = [MultiplexerModel.symmetric_spatial(draw(st.floats(0.3, 1.0))) for _ in range(count)]
+        units = [draw(st.sampled_from([1, 2, 64, 1024])) for _ in range(count)]
+    means = np.array(
+        [sorted(draw(st.one_of(st.floats(1e-4, 20.0), st.floats(19.9, 20.0))) for _ in range(2)) for _ in range(count)]
+    )
+    cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(eff), strategies[0], muxes[0], units[0])
+    return cfg, units, strategies, muxes, means
+
+
 class TestInvariants:
     @given(cfg=random_configs())
     @settings(max_examples=80, deadline=None)
@@ -341,6 +363,37 @@ class TestInvariants:
                 assert np.array_equal(merged, p1_profile(alone, means, lanes, photons=range(9)))
         with pytest.raises(ValueError):
             profile_lanes(cfg, [1, 1], muxes=muxes[:1], max_mean=1.0)  # one multiplexer for two lanes
+
+    @given(lanes=random_lanes())
+    @settings(max_examples=40, deadline=None)
+    def test_per_lane_series_match_one_series_length(self, lanes):
+        # each lane summed over its own series length agrees with one length,
+        # at the largest mean and unit count, for every lane of the call
+        cfg, units, strategies, muxes, means = lanes
+        plain = profile_lanes(cfg, units, strategies, muxes, max_mean=20.0)
+        one_length = p1_profile(cfg, means.ravel(), plain).reshape(len(units), *means.shape)
+        want = one_length[np.arange(len(units)), np.arange(len(units))]
+        assert p1_profile(cfg, means, plain) == pytest.approx(want, abs=5 * cfg.tail_tol)
+        bounded = plain.with_series(cfg, np.minimum(1.2 * means.max(axis=1), 20.0), (1,))  # as a search fixes it
+        assert p1_profile(cfg, means, bounded) == pytest.approx(want, abs=5 * cfg.tail_tol)
+
+    @pytest.mark.parametrize("mux", [MultiplexerModel.symmetric_spatial(0.9), MultiplexerModel.time_chain(0.95, 0.9)])
+    def test_lane_values_do_not_depend_on_the_other_lanes(self, mux):
+        cfg = SourceConfig(
+            PairDistribution(PairKind.POISSONIAN, 0.5), DetectorModel(0.8), HeraldingStrategy.threshold(), mux, 1
+        )
+        units = [1, 2, 4, 8, 16] * 3
+        strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3)] * 5
+        means = np.outer(np.geomspace(0.01, 19.5, len(units)), [0.9, 1.0])  # short and ceiling-length series
+        lanes = profile_lanes(cfg, units, strategies, max_mean=20.0).with_series(cfg, np.minimum(1.1 * means[:, 1], 20.0), (1,))
+        assert len(set(lanes.width.tolist())) > 1  # the call sums over more than one width
+        together = p1_profile(cfg, means, lanes)
+        for lane in range(len(units)):
+            assert np.array_equal(together[lane], p1_profile(cfg, means[[lane]], lanes.take([lane]))[0])
+        shuffled = np.random.default_rng(7).permutation(len(units))
+        assert np.array_equal(together[shuffled], p1_profile(cfg, means[shuffled], lanes.take(shuffled)))
+        with pytest.raises(ValueError):
+            p1_profile(cfg, 1.5 * means, lanes)  # beyond the bound the series was fixed for
 
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())

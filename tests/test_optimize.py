@@ -274,7 +274,6 @@ class TestComparisonMap:
         vd, vrs, candidates = 0.85, np.round(np.linspace(0.7, 1.0, 13), 3), [1, 2, 4, 8]
         assert vrs.size > optimize.MAP_CHUNK_CELLS
         strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.up_to(1), HeraldingStrategy.up_to(2)]
-        exact = ("n_opt_threshold", "n_opt_spd", "j_opt")
 
         def alone(vr):
             template = replace(tree_template(vd, vr, HeraldingStrategy.threshold()), tail_tol=1e-12)
@@ -294,12 +293,8 @@ class TestComparisonMap:
         chunked = cells(1, lambda k, total: done.append((k, total)))
         assert done == [(k, vrs.size) for k in range(1, vrs.size + 1)]  # once per cell, in grid order
         assert cells(2) == chunked
-        for vr, cell in zip(vrs, chunked):
-            # a chunk shares one series length per call, which moves P_1 at the rounding level
-            want = alone(vr)
-            for name, value in cell.items():
-                tol = 0 if name in exact else LAMBDA_TOL if name.startswith("lambda") else 1e-12
-                assert value == pytest.approx(want[name], abs=tol), (vr, name)
+        # each lane is summed over its own series, so a chunk's lanes get the per-cell values bit for bit
+        assert chunked == [alone(vr) for vr in vrs]
 
         # with one series length for every call the chunked search is the per-cell search, bit for bit
         series_length = engine._series_length
