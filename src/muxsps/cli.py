@@ -28,6 +28,7 @@ from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, du
 from .engine import OutputDistribution, SourceConfig, output_distribution
 from .optimize import comparison_map, maximize_over_lambda, optimize_strategies, optimize_strategy, optimize_units, run_tasks
 from .simulate import simulate
+from .statistics import PairKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,6 +199,11 @@ def _cmd_map(spec: RunSpec) -> int:
     sweep, cfg = spec.sweep, spec.cfg
     if not sweep.vd_values or not sweep.vr_values:
         raise ConfigError("sweep.vd_values", "map needs both vd_values and vr_values")
+    # comparison_map models a Poissonian source on a tree without generic loss
+    if cfg.dist.kind is not PairKind.POISSONIAN:
+        raise ConfigError("source.kind", f"map supports only kind={PairKind.POISSONIAN.value}, got {cfg.dist.kind.value}")
+    if cfg.mux.generic_transmission != 1.0:
+        raise ConfigError("multiplexer.generic_transmission", f"map supports only 1.0, got {cfg.mux.generic_transmission}")
     result = comparison_map(
         sweep.vd_values,
         sweep.vr_values,

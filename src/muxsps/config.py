@@ -1,13 +1,15 @@
 """Run configuration documents for the command-line front end.
 
 A run is described by an INI-style text with sections [source],
-[detector], [strategy], [multiplexer], [optimizer] and [sweep].  This
-module only parses: it turns text into typed values and rejects bad
-syntax and unknown sections or keys.  The library types and validators
-check every value, sweep values included; ``config_field`` turns their
-error into a ``ConfigError`` that names the document key.
-``dump_config`` writes the canonical form, which re-parses to an
-identical spec.
+[detector], [strategy], [multiplexer], [optimizer] and [sweep].  Each
+document key is declared once, in ``_KEYS``, with its parser and the
+value a resolved spec writes back; parsing, unknown-key rejection,
+``config_field``'s key naming, ``dump_config`` (the canonical form, which
+re-parses to an identical spec) and ``flatten_config`` all walk it.  This
+module only parses: a key left out takes its library type's default, and
+the library types and validators check every value, sweep values
+included; ``config_field`` turns their error into a ``ConfigError`` that
+names the document key.
 """
 
 from __future__ import annotations
@@ -17,29 +19,13 @@ from configparser import ConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
-from .engine import DEFAULT_I_MAX, SourceConfig
+from .engine import SourceConfig
 from .losses import KIND_PARAMS, MultiplexerModel, MuxKind, validate_unit_count
 from .optimize import DEFAULT_J_MAX
-from .statistics import (
-    DEFAULT_RESOLUTION_CAP,
-    DEFAULT_TAIL_TOL,
-    DetectorModel,
-    HeraldingStrategy,
-    PairDistribution,
-    PairKind,
-    ParameterError,
-)
+from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
 
-_SECTION_KEYS = {
-    "source": ("kind", "mean"),
-    "detector": ("efficiency", "resolution_cap"),
-    "strategy": ("accepted",),
-    "multiplexer": ("kind", "units", "generic_transmission", *KIND_PARAMS, "min_cycles"),
-    "optimizer": ("tail_tol", "i_max", "n_candidates", "j_max"),
-    "sweep": ("vd_values", "vr_values", "n_values", "lambda_values", "strategies", "pair_kinds"),
-}
 _FLAG_PARAMS = {"workers": "--workers", "samples": "--mc-check", "seed": "--seed"}
 
 
@@ -62,8 +48,8 @@ def config_field(field_path: str | None = None) -> Iterator[None]:
         yield
     except ParameterError as exc:
         if field_path is None:
-            keys = (f"{section}.{exc.name}" for section, names in _SECTION_KEYS.items() if exc.name in names)
-            field_path = next(keys, _FLAG_PARAMS.get(exc.name, exc.name))
+            paths = (key.path for key in _KEYS if key.name == exc.name)
+            field_path = next(paths, _FLAG_PARAMS.get(exc.name, exc.name))
         raise ConfigError(field_path, exc.reason) from exc
 
 
@@ -95,35 +81,46 @@ class RunSpec:
     workers: int | None = None
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(field_path: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"not a number: {raw!r}") from exc
+        raise ConfigError(field_path, f"not a number: {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
+        raise ConfigError(field_path, f"must be finite, got {raw!r}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse_int(field_path: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"not an integer: {raw!r}") from exc
+        raise ConfigError(field_path, f"not an integer: {raw!r}") from exc
 
 
-def _parse_enum(section: str, key: str, raw: str, kind: type[Enum]) -> Enum:
-    raw = raw.strip().lower()
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"must be one of {[k.value for k in kind]}, got {raw!r}") from exc
+def _enum(kind: type[Enum]) -> Callable[[str, str], Enum]:
+    """Parser of one member of ``kind``, named by its value in any letter case."""
+
+    def parse(field_path: str, raw: str) -> Enum:
+        raw = raw.strip().lower()
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(field_path, f"must be one of {[k.value for k in kind]}, got {raw!r}") from exc
+
+    return parse
 
 
-def _non_empty(section: str, key: str, values: tuple) -> tuple:
-    if not values:
-        raise ConfigError(f"{section}.{key}", "empty value list")
-    return values
+def _listed(parse_one: Callable[[str, str], Any]) -> Callable[[str, str], tuple]:
+    """Parser of a non-empty comma list whose entries ``parse_one`` reads."""
+
+    def parse(field_path: str, raw: str) -> tuple:
+        values = tuple(parse_one(field_path, part) for part in raw.split(",") if part.strip())
+        if not values:
+            raise ConfigError(field_path, "empty value list")
+        return values
+
+    return parse
 
 
 def inclusive_range(field_path: str, start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -136,51 +133,97 @@ def inclusive_range(field_path: str, start: float, stop: float, step: float) -> 
     return tuple(round(start + k * step, 12) for k in range(count))
 
 
-def _parse_float_values(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _parse_float_values(field_path: str, raw: str) -> tuple[float, ...]:
     """Comma list of numbers, or an inclusive range start:stop:step."""
     raw = raw.strip()
     if raw.count(":") == 2:
-        start, stop, step = (_parse_float(section, key, part) for part in raw.split(":"))
-        return inclusive_range(f"{section}.{key}", start, stop, step)
-    values = _non_empty(section, key, tuple(_parse_float(section, key, part) for part in raw.split(",") if part.strip()))
+        start, stop, step = (_parse_float(field_path, part) for part in raw.split(":"))
+        return inclusive_range(field_path, start, stop, step)
+    values = _listed(_parse_float)(field_path, raw)
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{section}.{key}", "values must be strictly increasing")
+        raise ConfigError(field_path, "values must be strictly increasing")
     return values
 
 
-def _parse_int_values(section: str, key: str, raw: str) -> tuple[int, ...]:
-    return _non_empty(section, key, tuple(_parse_int(section, key, part) for part in raw.split(",") if part.strip()))
-
-
-def _parse_candidates(section: str, key: str, raw: str) -> tuple[int, ...]:
+def _parse_candidates(field_path: str, raw: str) -> tuple[int, ...]:
     """Unit-count candidates: 'pow2:CAP', 'range:LO:HI', or a comma list."""
     raw = raw.strip()
     if raw.startswith("pow2:"):
-        cap = _parse_int(section, key, raw[5:])
-        return _non_empty(section, key, tuple(2**k for k in range(cap.bit_length()) if 2**k <= cap))
-    if raw.startswith("range:"):
+        cap = _parse_int(field_path, raw[5:])
+        candidates = tuple(2**k for k in range(cap.bit_length()) if 2**k <= cap)
+    elif raw.startswith("range:"):
         parts = raw[6:].split(":")
         if len(parts) != 2:
-            raise ConfigError(f"{section}.{key}", f"bad range {raw!r}")
-        lo, hi = (_parse_int(section, key, part) for part in parts)
-        return _non_empty(section, key, tuple(range(lo, hi + 1)))
-    return _parse_int_values(section, key, raw)
+            raise ConfigError(field_path, f"bad range {raw!r}")
+        lo, hi = (_parse_int(field_path, part) for part in parts)
+        candidates = tuple(range(lo, hi + 1))
+    else:
+        return _listed(_parse_int)(field_path, raw)
+    if not candidates:
+        raise ConfigError(field_path, "empty value list")
+    return candidates
 
 
-def _parse_strategy(raw: str) -> HeraldingStrategy:
+def _parse_strategy(field_path: str, raw: str) -> HeraldingStrategy:
     raw = raw.strip().lower()
     if raw == "all":
         return HeraldingStrategy.threshold()
-    counts = frozenset(_parse_int("strategy", "accepted", part) for part in raw.split(",") if part.strip())
-    return HeraldingStrategy(accepted=counts)
+    return HeraldingStrategy(accepted=frozenset(_parse_int(field_path, part) for part in raw.split(",") if part.strip()))
 
 
-def _strategy_from_token(token: str) -> HeraldingStrategy:
+def _strategy_token(field_path: str, raw: str) -> tuple[str, HeraldingStrategy]:
+    token = raw.strip().lower()
     if token == "spd":
-        return HeraldingStrategy.single_photon()
+        return token, HeraldingStrategy.single_photon()
     if token == "threshold":
-        return HeraldingStrategy.threshold()
-    raise ConfigError("sweep.strategies", f"unknown strategy token {token!r}")
+        return token, HeraldingStrategy.threshold()
+    raise ConfigError(field_path, f"unknown strategy token {token!r}")
+
+
+class _Key(NamedTuple):
+    """One document key: ``parse(path, text)`` reads it, ``write(spec)`` is
+    the value a resolved spec writes back (None or () writes nothing)."""
+
+    section: str
+    name: str
+    parse: Callable[[str, str], Any]
+    write: Callable[[RunSpec], Any]
+    required: bool = False
+
+    @property
+    def path(self) -> str:
+        return f"{self.section}.{self.name}"
+
+
+# Every document key, in the canonical order of dump_config.
+_KEYS = (
+    _Key("source", "kind", _enum(PairKind), lambda spec: spec.cfg.dist.kind, required=True),
+    _Key("source", "mean", _parse_float, lambda spec: spec.cfg.dist.mean, required=True),
+    _Key("detector", "efficiency", _parse_float, lambda spec: spec.cfg.detector.efficiency, required=True),
+    _Key("detector", "resolution_cap", _parse_int, lambda spec: spec.cfg.detector.resolution_cap),
+    _Key("strategy", "accepted", _parse_strategy, lambda spec: spec.cfg.strategy.label, required=True),
+    _Key("multiplexer", "kind", _enum(MuxKind), lambda spec: spec.cfg.mux.kind, required=True),
+    _Key("multiplexer", "units", _parse_int, lambda spec: spec.cfg.units, required=True),
+    # a loss parameter of another multiplexer kind is None, so it is not written
+    *(
+        _Key("multiplexer", name, _parse_float, lambda spec, name=name: getattr(spec.cfg.mux, name))
+        for name in ("generic_transmission", *KIND_PARAMS)
+    ),
+    _Key(
+        "multiplexer", "min_cycles", _parse_int,
+        lambda spec: spec.cfg.mux.min_cycles if spec.cfg.mux.kind is MuxKind.TIME_LOOP_LATEST else None,
+    ),
+    _Key("optimizer", "tail_tol", _parse_float, lambda spec: spec.cfg.tail_tol),
+    _Key("optimizer", "i_max", _parse_int, lambda spec: spec.cfg.i_max),
+    _Key("optimizer", "n_candidates", _parse_candidates, lambda spec: spec.n_candidates),
+    _Key("optimizer", "j_max", _parse_int, lambda spec: spec.j_max),
+    _Key("sweep", "vd_values", _parse_float_values, lambda spec: spec.sweep.vd_values),
+    _Key("sweep", "vr_values", _parse_float_values, lambda spec: spec.sweep.vr_values),
+    _Key("sweep", "n_values", _listed(_parse_int), lambda spec: spec.sweep.n_values),
+    _Key("sweep", "lambda_values", _parse_float_values, lambda spec: spec.sweep.lambda_values),
+    _Key("sweep", "strategies", _listed(_strategy_token), lambda spec: tuple(token for token, _ in spec.sweep.strategies)),
+    _Key("sweep", "pair_kinds", _listed(_enum(PairKind)), lambda spec: spec.sweep.pair_kinds),
+)
 
 
 def check_sweep(spec: RunSpec) -> RunSpec:
@@ -212,139 +255,64 @@ def parse_config(text: str, **run_context) -> RunSpec:
     except Exception as exc:
         raise ConfigError("config", f"cannot parse document: {exc}") from exc
 
+    values: dict[str, dict[str, Any]] = {key.section: {} for key in _KEYS}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in values:
             raise ConfigError(section, "unknown section")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"{section}.{key}", "unknown key")
-
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    def require(section: str, key: str) -> str:
-        value = get(section, key)
-        if value is None:
-            raise ConfigError(f"{section}.{key}", "missing required key")
-        return value
+        for name in parser[section]:
+            if not any(key.path == f"{section}.{name}" for key in _KEYS):
+                raise ConfigError(f"{section}.{name}", "unknown key")
 
     with config_field():
-        source = PairDistribution(
-            _parse_enum("source", "kind", require("source", "kind"), PairKind),
-            _parse_float("source", "mean", require("source", "mean")),
-        )
-        detector = DetectorModel(
-            _parse_float("detector", "efficiency", require("detector", "efficiency")),
-            _parse_int("detector", "resolution_cap", get("detector", "resolution_cap", str(DEFAULT_RESOLUTION_CAP))),
-        )
-        strategy = _parse_strategy(require("strategy", "accepted"))
-        mux_kind = _parse_enum("multiplexer", "kind", require("multiplexer", "kind"), MuxKind)
-        mux_kwargs: dict[str, float | int] = {
-            key: _parse_float("multiplexer", key, raw)
-            for key in ("generic_transmission", *KIND_PARAMS)
-            if (raw := get("multiplexer", key)) is not None
-        }
-        raw = get("multiplexer", "min_cycles")
-        if raw is not None:
-            mux_kwargs["min_cycles"] = _parse_int("multiplexer", "min_cycles", raw)
+        for key in _KEYS:
+            if parser.has_option(key.section, key.name):
+                values[key.section][key.name] = key.parse(key.path, parser.get(key.section, key.name))
+            elif key.required:
+                raise ConfigError(key.path, "missing required key")
+        mux, optimizer = values["multiplexer"], values["optimizer"]
+        units = mux.pop("units")
+        series = {name: optimizer.pop(name) for name in ("tail_tol", "i_max") if name in optimizer}
         cfg = SourceConfig(
-            dist=source,
-            detector=detector,
-            strategy=strategy,
-            mux=MultiplexerModel(kind=mux_kind, **mux_kwargs),
-            units=_parse_int("multiplexer", "units", require("multiplexer", "units")),
-            tail_tol=_parse_float("optimizer", "tail_tol", get("optimizer", "tail_tol", repr(DEFAULT_TAIL_TOL))),
-            i_max=_parse_int("optimizer", "i_max", get("optimizer", "i_max", str(DEFAULT_I_MAX))),
+            PairDistribution(**values["source"]),
+            DetectorModel(**values["detector"]),
+            values["strategy"]["accepted"],
+            MultiplexerModel(**mux),
+            units,
+            **series,
         )
-    raw = get("optimizer", "n_candidates")
-    n_candidates = _parse_candidates("optimizer", "n_candidates", raw) if raw is not None else None
-    j_max = _parse_int("optimizer", "j_max", get("optimizer", "j_max", str(DEFAULT_J_MAX)))
-
-    sweep_kwargs: dict = {}
-    for key, parse in (
-        ("vd_values", _parse_float_values),
-        ("vr_values", _parse_float_values),
-        ("n_values", _parse_int_values),
-        ("lambda_values", _parse_float_values),
-    ):
-        raw = get("sweep", key)
-        if raw is not None:
-            sweep_kwargs[key] = parse("sweep", key, raw)
-    raw = get("sweep", "strategies")
-    if raw is not None:
-        tokens = (part.strip().lower() for part in raw.split(",") if part.strip())
-        sweep_kwargs["strategies"] = tuple((token, _strategy_from_token(token)) for token in tokens)
-    raw = get("sweep", "pair_kinds")
-    if raw is not None:
-        sweep_kwargs["pair_kinds"] = tuple(
-            _parse_enum("sweep", "pair_kinds", part, PairKind) for part in raw.split(",") if part.strip()
-        )
-
-    spec = RunSpec(cfg=cfg, n_candidates=n_candidates, j_max=j_max, sweep=SweepSpec(**sweep_kwargs), **run_context)
-    return check_sweep(spec)
+    return check_sweep(RunSpec(cfg, sweep=SweepSpec(**values["sweep"]), **optimizer, **run_context))
 
 
 def format_value(value) -> str:
-    """Text form of an emitted number: plain-float repr, also for numpy scalars."""
+    """Text form of an emitted value: plain-float repr (also of numpy scalars), enum value, or comma list."""
     if isinstance(value, float):
         return repr(float(value))
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
     return str(value)
+
+
+def _written(spec: RunSpec) -> Iterator[tuple[_Key, str]]:
+    """Each key the spec writes back, with its text, in canonical order."""
+    for key in _KEYS:
+        value = key.write(spec)
+        if value is not None and value != ():
+            yield key, format_value(value)
 
 
 def dump_config(spec: RunSpec) -> str:
     """Canonical document form of a RunSpec; re-parses to an identical spec."""
-    cfg = spec.cfg
-    lines: list[str] = []
-    lines += ["[source]", f"kind = {cfg.dist.kind.value}", f"mean = {format_value(cfg.dist.mean)}", ""]
-    lines += [
-        "[detector]",
-        f"efficiency = {format_value(cfg.detector.efficiency)}",
-        f"resolution_cap = {cfg.detector.resolution_cap}",
-        "",
-    ]
-    lines += ["[strategy]", f"accepted = {cfg.strategy.label}", ""]
-    lines.append("[multiplexer]")
-    lines.append(f"kind = {cfg.mux.kind.value}")
-    lines.append(f"units = {cfg.units}")
-    for name, value in cfg.mux.param_items():
-        lines.append(f"{name} = {format_value(value)}")
-    lines.append("")
-    lines.append("[optimizer]")
-    lines.append(f"tail_tol = {format_value(cfg.tail_tol)}")
-    lines.append(f"i_max = {cfg.i_max}")
-    if spec.n_candidates is not None:
-        lines.append("n_candidates = " + ",".join(str(n) for n in spec.n_candidates))
-    lines.append(f"j_max = {spec.j_max}")
-    sweep_lines = []
-    sweep = spec.sweep
-    for key in ("vd_values", "vr_values", "n_values", "lambda_values"):
-        if getattr(sweep, key):
-            sweep_lines.append(f"{key} = " + ",".join(format_value(v) for v in getattr(sweep, key)))
-    if sweep.strategies:
-        sweep_lines.append("strategies = " + ",".join(token for token, _ in sweep.strategies))
-    if sweep.pair_kinds:
-        sweep_lines.append("pair_kinds = " + ",".join(k.value for k in sweep.pair_kinds))
-    if sweep_lines:
-        lines += ["", "[sweep]"] + sweep_lines
-    return "\n".join(lines).rstrip() + "\n"
+    sections: dict[str, list[str]] = {}
+    for key, text in _written(spec):
+        sections.setdefault(key.section, [f"[{key.section}]"]).append(f"{key.name} = {text}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def flatten_config(spec: RunSpec) -> str:
     """Single-line form of the resolved document, for provenance comments."""
-    flat = []
-    section = ""
-    for line in dump_config(spec).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]")
-            continue
-        key, _, value = line.partition(" = ")
-        flat.append(f"{section}.{key}={value}")
-    return " ".join(flat)
+    return " ".join(f"{key.path}={text}" for key, text in _written(spec))
 
 
 # Shipped scenario presets: name -> document text.

@@ -37,13 +37,8 @@ _REQUIRED = {
     MuxKind.TIME_LOOP_LATEST: ("cycle_transmission",),
     MuxKind.BINARY_BULK_TIME: ("pbs_transmission", "pbs_reflection", "propagation_transmission"),
 }
-KIND_PARAMS = (
-    "router_transmission",
-    "cycle_transmission",
-    "pbs_transmission",
-    "pbs_reflection",
-    "propagation_transmission",
-)
+# every kind's loss parameters, each once, in the order above
+KIND_PARAMS = tuple(dict.fromkeys(name for names in _REQUIRED.values() for name in names))
 
 
 def is_power_of_two(n: int) -> bool:
@@ -142,14 +137,6 @@ class MultiplexerModel:
     @property
     def requires_power_of_two(self) -> bool:
         return self.kind in (MuxKind.SYMMETRIC_SPATIAL, MuxKind.BINARY_BULK_TIME)
-
-    def param_items(self) -> list[tuple[str, float | int]]:
-        """Kind-relevant parameters as (name, value) pairs, for reporting."""
-        items: list[tuple[str, float | int]] = [("generic_transmission", self.generic_transmission)]
-        items += [(name, getattr(self, name)) for name in _REQUIRED[self.kind]]
-        if self.kind is MuxKind.TIME_LOOP_LATEST:
-            items.append(("min_cycles", self.min_cycles))
-        return items
 
 
 def validate_unit_count(model: MultiplexerModel, units: int, name: str = "units") -> None:

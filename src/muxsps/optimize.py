@@ -27,9 +27,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import SourceConfig, p1_profile, profile_lanes
+from .engine import DEFAULT_I_MAX, SourceConfig, p1_profile, profile_lanes
 from .losses import MultiplexerModel, MuxKind, validate_unit_count
-from .statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
+from .statistics import (
+    DEFAULT_RESOLUTION_CAP, DEFAULT_TAIL_TOL, DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
+)
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 20.0
@@ -290,9 +292,9 @@ def comparison_map(
     *,
     j_max: int = DEFAULT_J_MAX,
     n_candidates: Iterable[int] | None = None,
-    tail_tol: float = 1e-12,
-    i_max: int = 8,
-    resolution_cap: int = 10,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    i_max: int = DEFAULT_I_MAX,
+    resolution_cap: int = DEFAULT_RESOLUTION_CAP,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> ComparisonMap:

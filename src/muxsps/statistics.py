@@ -224,13 +224,9 @@ def herald_weights(strategy: HeraldingStrategy, det: DetectorModel, l_max: int) 
     weights = np.zeros(l_max + 1)
     comb = binomial_coefficients(max(strategy.accepted), l_max)
     for j in sorted(strategy.accepted):
-        if j > l_max:
-            continue
-        exponents = np.maximum(ls - j, 0)
-        # comb[j, l] vanishes for l < j, masking the clipped exponents
-        if eff < 1.0:
-            weights += comb[j] * eff**j * (1.0 - eff) ** exponents
-        else:
-            weights[j] += comb[j, j]
+        # comb[j, l] vanishes for l < j, masking the clipped exponents, and
+        # its whole row vanishes for j > l_max; at eff = 1, 0.0 ** 0 == 1
+        # leaves comb[j, j] alone at l = j
+        weights += comb[j] * eff**j * (1.0 - eff) ** np.maximum(ls - j, 0)
     return weights
 

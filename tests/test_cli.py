@@ -30,6 +30,127 @@ router_transmission = 0.98
 """
 
 
+TIME_LOOP = MINIMAL.replace("kind = symmetric-spatial", "kind = time-loop-latest").replace(
+    "router_transmission", "cycle_transmission"
+)
+# no preset covers the time chain
+TIME_CHAIN = TIME_LOOP.replace("time-loop-latest", "time-chain") + "generic_transmission = 0.9\n\n[sweep]\nn_values = 1,3\n"
+
+
+def _edit(old, new):
+    return MINIMAL.replace(old, new)
+
+
+def _optimizer(lines):
+    return MINIMAL + "\n[optimizer]\n" + lines + "\n"
+
+
+def _sweep(lines):
+    return MINIMAL + "\n[sweep]\n" + lines + "\n"
+
+
+_ONE_OF_PAIR_KINDS = "must be one of ['poissonian', 'thermal']"
+_ONE_OF_MUX_KINDS = "must be one of ['symmetric-spatial', 'time-chain', 'time-loop-latest', 'binary-bulk-time']"
+
+# one invalid document per (key, kind of fault): command, document, full error message
+INVALID_DOCUMENTS = {
+    "source-kind-missing": ("evaluate", _edit("kind = poissonian\n", ""), "source.kind: missing required key"),
+    "source-kind-unknown": ("evaluate", _edit("kind = poissonian", "kind = Laser"), f"source.kind: {_ONE_OF_PAIR_KINDS}, got 'laser'"),
+    "mean-missing": ("evaluate", _edit("mean = 0.45\n", ""), "source.mean: missing required key"),
+    "mean-text": ("evaluate", _edit("mean = 0.45", "mean = abc"), "source.mean: not a number: 'abc'"),
+    "mean-infinite": ("evaluate", _edit("mean = 0.45", "mean = inf"), "source.mean: must be finite, got 'inf'"),
+    "mean-negative": ("evaluate", _edit("mean = 0.45", "mean = -1"), "source.mean: must be a finite non-negative real, got -1.0"),
+    "mean-twice": (
+        "evaluate",
+        _edit("mean = 0.45", "mean = 0.45\nmean = 0.5"),
+        "config: cannot parse document: While reading from '<string>' [line  4]: option 'mean' in section 'source' already exists",
+    ),
+    "efficiency-missing": ("evaluate", _edit("efficiency = 0.95\n", ""), "detector.efficiency: missing required key"),
+    "efficiency-above-one": ("evaluate", _edit("efficiency = 0.95", "efficiency = 1.7"), "detector.efficiency: must be within [0, 1], got 1.7"),
+    "resolution_cap-float": (
+        "evaluate", _edit("efficiency = 0.95", "efficiency = 0.95\nresolution_cap = 2.5"), "detector.resolution_cap: not an integer: '2.5'"
+    ),
+    "resolution_cap-zero": (
+        "evaluate", _edit("efficiency = 0.95", "efficiency = 0.95\nresolution_cap = 0"), "detector.resolution_cap: must be >= 1, got 0"
+    ),
+    "detector-unknown-key": ("evaluate", _edit("efficiency = 0.95", "efficiency = 0.95\ndark_rate = 1"), "detector.dark_rate: unknown key"),
+    "accepted-missing": ("evaluate", _edit("accepted = 1\n", ""), "strategy.accepted: missing required key"),
+    "accepted-text": ("evaluate", _edit("accepted = 1", "accepted = 1, X"), "strategy.accepted: not an integer: ' x'"),
+    "accepted-zero": ("evaluate", _edit("accepted = 1", "accepted = 0"), "strategy.accepted: counts must all be >= 1, got [0]"),
+    "accepted-empty": (
+        "evaluate",
+        _edit("accepted = 1", "accepted = ,"),
+        "strategy.accepted: must be non-empty (use threshold() for any-click heralding)",
+    ),
+    "accepted-above-cap": (
+        "evaluate",
+        _edit("accepted = 1", "accepted = 11"),
+        "strategy.accepted: set reaches 11 but the detector resolves at most 10 photons",
+    ),
+    "mux-kind-missing": ("evaluate", _edit("kind = symmetric-spatial\n", ""), "multiplexer.kind: missing required key"),
+    "mux-kind-unknown": ("evaluate", _edit("kind = symmetric-spatial", "kind = ring"), f"multiplexer.kind: {_ONE_OF_MUX_KINDS}, got 'ring'"),
+    "units-missing": ("evaluate", _edit("units = 16\n", ""), "multiplexer.units: missing required key"),
+    "units-text": ("evaluate", _edit("units = 16", "units = many"), "multiplexer.units: not an integer: 'many'"),
+    "units-not-pow2": (
+        "evaluate", _edit("units = 16", "units = 12"), "multiplexer.units: must be a power of 2 for kind=symmetric-spatial, got 12"
+    ),
+    "units-zero": ("evaluate", _edit("units = 16", "units = 0"), "multiplexer.units: must be >= 1, got 0"),
+    "generic-text": ("evaluate", MINIMAL + "generic_transmission = x\n", "multiplexer.generic_transmission: not a number: 'x'"),
+    "generic-above-one": (
+        "evaluate", MINIMAL + "generic_transmission = 1.5\n", "multiplexer.generic_transmission: must be within [0, 1], got 1.5"
+    ),
+    "router-missing": (
+        "evaluate",
+        _edit("router_transmission = 0.98\n", ""),
+        "multiplexer.router_transmission: is required for kind=symmetric-spatial",
+    ),
+    "cycle-other-kind": (
+        "evaluate", MINIMAL + "cycle_transmission = 0.9\n", "multiplexer.cycle_transmission: does not apply to kind=symmetric-spatial"
+    ),
+    "pbs_reflection-other-kind": (
+        "evaluate", MINIMAL + "pbs_reflection = 0.9\n", "multiplexer.pbs_reflection: does not apply to kind=symmetric-spatial"
+    ),
+    "propagation-above-one": (
+        "evaluate", MINIMAL + "propagation_transmission = 2\n", "multiplexer.propagation_transmission: must be within [0, 1], got 2.0"
+    ),
+    "min_cycles-other-kind": (
+        "evaluate", MINIMAL + "min_cycles = 0\n", "multiplexer.min_cycles: only applies to kind=time-loop-latest"
+    ),
+    "min_cycles-two": ("evaluate", TIME_LOOP + "min_cycles = 2\n", "multiplexer.min_cycles: must be 0 or 1, got 2"),
+    "min_cycles-text": ("evaluate", TIME_LOOP + "min_cycles = one\n", "multiplexer.min_cycles: not an integer: 'one'"),
+    "tail_tol-too-large": ("evaluate", _optimizer("tail_tol = 1e-3"), "optimizer.tail_tol: must be in (0, 1e-6], got 0.001"),
+    "tail_tol-nan": ("evaluate", _optimizer("tail_tol = nan"), "optimizer.tail_tol: must be finite, got 'nan'"),
+    "i_max-zero": ("evaluate", _optimizer("i_max = 0"), "optimizer.i_max: must be >= 1, got 0"),
+    "i_max-float": ("evaluate", _optimizer("i_max = 2.0"), "optimizer.i_max: not an integer: '2.0'"),
+    "n_candidates-bad-range": ("evaluate", _optimizer("n_candidates = range:5"), "optimizer.n_candidates: bad range 'range:5'"),
+    "n_candidates-empty-range": ("evaluate", _optimizer("n_candidates = range:5:3"), "optimizer.n_candidates: empty value list"),
+    "n_candidates-empty-pow2": ("evaluate", _optimizer("n_candidates = pow2:0"), "optimizer.n_candidates: empty value list"),
+    "n_candidates-empty-list": ("evaluate", _optimizer("n_candidates = ,"), "optimizer.n_candidates: empty value list"),
+    "n_candidates-text": ("evaluate", _optimizer("n_candidates = 1,x"), "optimizer.n_candidates: not an integer: 'x'"),
+    "n_candidates-not-pow2": (
+        "optimize", _optimizer("n_candidates = 1,3"), "optimizer.n_candidates: must be a power of 2 for kind=symmetric-spatial, got 3"
+    ),
+    "j_max-text": ("evaluate", _optimizer("j_max = x"), "optimizer.j_max: not an integer: 'x'"),
+    "j_max-above-cap": (
+        "strategy-scan", _optimizer("n_candidates = 1,2\nj_max = 11"), "optimizer.j_max: must be within [1, resolution_cap=10], got 11"
+    ),
+    "vd_values-empty": ("evaluate", _sweep("vd_values = ,"), "sweep.vd_values: empty value list"),
+    "vd_values-decreasing": ("evaluate", _sweep("vd_values = 0.9,0.8"), "sweep.vd_values: values must be strictly increasing"),
+    "vd_values-reversed-range": ("evaluate", _sweep("vd_values = 0.9:0.3:0.1"), "sweep.vd_values: range end 0.3 is below its start 0.9"),
+    "vd_values-zero-step": ("evaluate", _sweep("vd_values = 0.3:0.9:0"), "sweep.vd_values: step must be a finite number > 0, got 0.0"),
+    "vd_values-text": ("evaluate", _sweep("vd_values = 0.3:x:0.1"), "sweep.vd_values: not a number: 'x'"),
+    "vr_values-above-one": ("evaluate", _sweep("vr_values = 0.5,1.5"), "sweep.vr_values: must be within [0, 1], got 1.5"),
+    "n_values-not-pow2": ("evaluate", _sweep("n_values = 3"), "sweep.n_values: must be a power of 2 for kind=symmetric-spatial, got 3"),
+    "n_values-text": ("evaluate", _sweep("n_values = a"), "sweep.n_values: not an integer: 'a'"),
+    "lambda_values-negative": (
+        "evaluate", _sweep("lambda_values = -0.1,0.2"), "sweep.lambda_values: must be a finite non-negative real, got -0.1"
+    ),
+    "strategies-unknown": ("evaluate", _sweep("strategies = spd,bogus"), "sweep.strategies: unknown strategy token 'bogus'"),
+    "pair_kinds-unknown": ("evaluate", _sweep("pair_kinds = thermal,laser"), f"sweep.pair_kinds: {_ONE_OF_PAIR_KINDS}, got 'laser'"),
+    "unknown-section": ("evaluate", MINIMAL + "\n[cooling]\nx = 1\n", "cooling: unknown section"),
+}
+
+
 def run_cli(args, capsys):
     status = cli.main(args)
     captured = capsys.readouterr()
@@ -75,6 +196,17 @@ class TestConfigDocument:
     def test_multiplexer_floats_are_range_checked(self, key):
         with pytest.raises(ValueError, match=f"multiplexer.{key}: must be within"):
             parse_config(MINIMAL + f"{key} = 1.5\n")
+
+    @pytest.mark.parametrize("key", ["strategies", "pair_kinds"])
+    def test_empty_sweep_list_rejected(self, key):
+        # like every other list key: '= ,' is an error, not an unset key
+        with pytest.raises(ValueError, match=f"^sweep.{key}: empty value list$"):
+            parse_config(MINIMAL + f"\n[sweep]\nvd_values = 0.9\n{key} = ,\n")
+
+    @pytest.mark.parametrize("text", [*PRESETS.values(), TIME_CHAIN], ids=[*PRESETS, "time-chain"])
+    def test_dump_is_a_text_fixed_point(self, text):
+        dumped = dump_config(parse_config(text, command="table"))
+        assert dump_config(parse_config(dumped, command="table")) == dumped
 
     def test_candidate_syntaxes(self):
         spec = parse_config(MINIMAL + "\n[optimizer]\nn_candidates = pow2:16\n")
@@ -155,6 +287,11 @@ class TestExitCodes:
         (line,) = [line for line in err.splitlines() if "config error:" in line]
         fields = re.findall(r"\b(?:source|detector|strategy|multiplexer|optimizer|sweep)\.\w+", line)
         assert fields == [field_path]
+
+    @pytest.mark.parametrize("command, text, message", INVALID_DOCUMENTS.values(), ids=INVALID_DOCUMENTS)
+    def test_invalid_document_message(self, command, text, message, tmp_path, capsys):
+        status, out, err = run_cli([command, "--config", write_config(tmp_path, text)], capsys)
+        assert (status, out, err) == (2, "", f"muxsps: config error: {message}\n")
 
     def test_j_max_checked_only_by_cutoff_scans(self, tmp_path, capsys):
         text = MINIMAL.replace("efficiency = 0.95", "efficiency = 0.95\nresolution_cap = 3")
@@ -382,6 +519,20 @@ class TestMapCommand:
         assert "delta_P" in header and "delta_m" in header and "J_opt" in header
         rows = [line for line in out.splitlines() if not line.startswith(("#", "V_D,"))]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("kind = poissonian", "kind = thermal", "source.kind: map supports only kind=poissonian, got thermal"),
+            ("units = 16", "units = 16\ngeneric_transmission = 0.5", "multiplexer.generic_transmission: map supports only 1.0, got 0.5"),
+        ],
+        ids=["thermal-source", "generic-loss"],
+    )
+    def test_unmapped_scenario_is_config_error(self, old, new, message, tmp_path, capsys):
+        # the map models a lossless Poissonian tree; another scenario must not print its numbers
+        text = MINIMAL.replace(old, new) + "\n[optimizer]\nj_max = 1\n\n[sweep]\nvd_values = 0.9\nvr_values = 0.9\n"
+        status, out, err = run_cli(["map", "--config", write_config(tmp_path, text), "--workers", "1"], capsys)
+        assert (status, out, err) == (2, "", f"muxsps: config error: {message}\n")
 
     def test_grid_step_regrids(self, tmp_path, capsys):
         config = MINIMAL + "\n[optimizer]\nj_max = 1\n\n[sweep]\nvd_values = 0.9,0.98\nvr_values = 0.9,0.98\n"

@@ -241,6 +241,13 @@ class TestHeraldWeights:
         for l_max in (0, 1, 5, 8, 40, 699):
             assert np.array_equal(long[: l_max + 1], herald_weights(strategy, det, l_max))
 
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 5, 65, 200])
+    @pytest.mark.parametrize("accepted", [{1}, {2}, {1, 2, 3}, {3, 7}, {10}, set(range(1, 11))], ids=str)
+    def test_lossless_detector_heralds_exactly_the_accepted_counts(self, accepted, l_max):
+        # at unit efficiency l arriving photons are all detected: weight 1 at an accepted l, else 0
+        weights = herald_weights(HeraldingStrategy(accepted=frozenset(accepted)), DetectorModel(1.0), l_max)
+        assert np.array_equal(weights, [float(l in accepted) for l in range(l_max + 1)])
+
     def test_set_weights_sum_detect_columns(self):
         det = DetectorModel(0.75)
         strategy = HeraldingStrategy(accepted=frozenset({1, 3}))
