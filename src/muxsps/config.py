@@ -249,13 +249,15 @@ def parse_config(text: str, **run_context) -> RunSpec:
     out_path, seed, mc_samples, workers).  The optimizer's ``n_candidates``
     and ``j_max`` are checked by the commands that use them.
     """
-    parser = ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except Exception as exc:
         raise ConfigError("config", f"cannot parse document: {exc}") from exc
 
     values: dict[str, dict[str, Any]] = {key.section: {} for key in _KEYS}
+    if parser.defaults():  # ConfigParser would copy these keys into every section
+        raise ConfigError(parser.default_section, "unknown section")
     for section in parser.sections():
         if section not in values:
             raise ConfigError(section, "unknown section")

@@ -238,7 +238,7 @@ def profile_lanes(
     joined = np.concatenate([unit_transmissions(models[m], n) for m, n in which])
     starts = sizes.cumsum() - sizes
     uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
-    transmissions = np.unique(joined[starts[uniform]])
+    transmissions = np.array(sorted(set(joined[starts[uniform]].tolist())))  # plain np.unique imports numpy.ma (~20 ms)
     tx = np.searchsorted(transmissions, joined[starts])  # read for uniform lanes only
     lane_key = np.array(list(map(which.__getitem__, keys)))
     # as long as any lane's rounded width

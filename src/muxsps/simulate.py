@@ -9,12 +9,13 @@ A key physical constraint encoded here: survivors are drawn from the l
 generated signal photons, not from the detected idler count; detector
 efficiency acts only on the idler arm.
 
-Each visited unit draws its pair number l and detector reading r from one
-uniform, by inverse CDF over the (l, r) states with a guide table (Chen's
+Each visited unit draws one uniform u and heralds iff u < P_h, its herald
+probability; only a heralded u picks one of the unit's heralding (pairs,
+reading) states, by inverse CDF with a guide table over [0, P_h) (Chen's
 method).  Readings go up to the largest accepted count; all higher counts
 are one overflow reading, which heralds only under threshold heralding.
-l runs until the pair tail left out is below 2**-60, under a uniform's
-2**-53 resolution, and the last state takes that remainder.
+l runs until the pair tail left out, which reads as no herald, is below
+2**-60, under a uniform's 2**-53 resolution.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class SimulationEstimate:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # counter-based generator keyed by (seed, block), so streams are
-    # reproducible no matter which worker consumes which block
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
+    # one PCG64 stream per (seed, block), so streams are reproducible no
+    # matter which worker consumes which block
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
 
 
 def _pair_pmf(dist: PairDistribution) -> np.ndarray:
@@ -91,29 +92,28 @@ def _reading_pmf(efficiency: float, top: int, length: int) -> np.ndarray:
     return np.column_stack([pmf, overflow])
 
 
-def _states(cfg: SourceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(cdf, guide, pairs, heralded) of a unit's (pairs, reading) states of nonzero probability.
+def _states(cfg: SourceConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(p_h, cdf, guide, pairs) of a unit's heralding (pairs, reading) states of nonzero probability.
 
-    The last state's cdf is inf, so it takes the remainder; guide[b] is the
-    first state whose cdf exceeds b / guide.size.
+    p_h = cdf[-1] is the herald probability.  guide[b] is the first state whose
+    cdf exceeds the start of bucket b - 1 of [0, p_h): one bucket early, as
+    rounding may put a uniform in the bucket above its own.
     """
     top = 0 if cfg.strategy.is_threshold else max(cfg.strategy.accepted)
-    heralds = np.zeros(top + 2, dtype=bool)  # by reading
-    heralds[[top + 1] if cfg.strategy.is_threshold else list(cfg.strategy.accepted)] = True
+    heralds = [top + 1] if cfg.strategy.is_threshold else sorted(cfg.strategy.accepted)  # heralding readings
     pair_pmf = _pair_pmf(cfg.dist)
-    joint = (pair_pmf[:, None] * _reading_pmf(cfg.detector.efficiency, top, pair_pmf.size)).ravel()
+    joint = pair_pmf[:, None] * _reading_pmf(cfg.detector.efficiency, top, pair_pmf.size)[:, heralds]
     kept = np.flatnonzero(joint)
-    cdf = np.cumsum(joint[kept])
-    cdf[-1] = np.inf
+    cdf = np.cumsum(joint.ravel()[kept])
+    p_h = float(cdf[-1]) if cdf.size else 0.0
     buckets = 1 << (2 * kept.size).bit_length()
-    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
-    return cdf, guide, kept // (top + 2), heralds[kept % (top + 2)]
+    guide = np.searchsorted(cdf, np.maximum(np.arange(-1, buckets - 1), 0) * (p_h / buckets), side="right")
+    return p_h, cdf, guide, kept // len(heralds)
 
 
-def _draw_states(rng: np.random.Generator, cdf: np.ndarray, guide: np.ndarray, size: int) -> np.ndarray:
-    """Inverse-CDF draw of ``size`` state indices, one uniform each (Chen's guide table)."""
-    u = rng.random(size)
-    index = guide[(u * guide.size).astype(np.intp)]
+def _draw_states(u: np.ndarray, p_h: float, cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """Heralding state index of each uniform u < p_h: inverse CDF with Chen's guide table."""
+    index = guide[np.minimum((u * (guide.size / p_h)).astype(np.intp), guide.size - 1)]
     index += cdf[index] <= u  # one step settles nearly every draw
     late = np.flatnonzero(cdf[index] <= u)
     index[late] = np.searchsorted(cdf, u[late], side="right")
@@ -123,18 +123,17 @@ def _draw_states(rng: np.random.Generator, cdf: np.ndarray, guide: np.ndarray, s
 def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
     """Sample ``samples`` pulse periods of the configured source.
 
-    Each sample walks the units in priority order: draw the generated pair
-    number and the detector reading together, and on the first herald draw
-    the surviving signal photons and stop.  Pulses with no herald contribute to
-    the zero-photon bin.  Identical (cfg, samples, seed) always produce the
-    identical histogram.
+    Each sample walks the units in priority order, one uniform per unit: on
+    the first herald, look up that unit's pair number and draw the surviving
+    signal photons.  Pulses with no herald contribute to the zero-photon bin.
+    Identical (cfg, samples, seed) always produce the identical histogram.
     """
     if samples < 1:
         raise ParameterError("samples", f"must be >= 1, got {samples}")
     if seed < 0:
         raise ParameterError("seed", f"must be >= 0, got {seed}")
     transmissions = unit_transmissions(cfg.mux, cfg.units)
-    cdf, guide, pairs, heralding = _states(cfg)
+    p_h, cdf, guide, pairs = _states(cfg)
 
     counts = np.zeros(cfg.i_max + 1, dtype=np.int64)
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -146,11 +145,12 @@ def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
         for n in range(1, cfg.units + 1):
             if active.size == 0:
                 break
-            drawn = _draw_states(rng, cdf, guide, active.size)
-            heralded = heralding[drawn]
-            if heralded.any():
-                emitted[active[heralded]] = rng.binomial(pairs[drawn[heralded]], transmissions[n - 1])
-            active = active[~heralded]
+            u = rng.random(active.size)
+            hit = np.flatnonzero(u < p_h)  # integer indices: a random boolean mask indexes slower
+            if hit.size:
+                drawn = _draw_states(u[hit], p_h, cdf, guide)
+                emitted[active[hit]] = rng.binomial(pairs[drawn], transmissions[n - 1])
+            active = active[np.flatnonzero(u >= p_h)]
         block_counts = np.bincount(emitted)
         if block_counts.size > counts.size:
             counts = np.concatenate([counts, np.zeros(block_counts.size - counts.size, dtype=np.int64)])

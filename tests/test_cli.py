@@ -1,9 +1,11 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,7 @@ INVALID_DOCUMENTS = {
     "source-kind-unknown": ("evaluate", _edit("kind = poissonian", "kind = Laser"), f"source.kind: {_ONE_OF_PAIR_KINDS}, got 'laser'"),
     "mean-missing": ("evaluate", _edit("mean = 0.45\n", ""), "source.mean: missing required key"),
     "mean-text": ("evaluate", _edit("mean = 0.45", "mean = abc"), "source.mean: not a number: 'abc'"),
+    "mean-percent": ("evaluate", _edit("mean = 0.45", "mean = 5%"), "source.mean: not a number: '5%'"),
     "mean-infinite": ("evaluate", _edit("mean = 0.45", "mean = inf"), "source.mean: must be finite, got 'inf'"),
     "mean-negative": ("evaluate", _edit("mean = 0.45", "mean = -1"), "source.mean: must be a finite non-negative real, got -1.0"),
     "mean-twice": (
@@ -148,6 +151,7 @@ INVALID_DOCUMENTS = {
     "strategies-unknown": ("evaluate", _sweep("strategies = spd,bogus"), "sweep.strategies: unknown strategy token 'bogus'"),
     "pair_kinds-unknown": ("evaluate", _sweep("pair_kinds = thermal,laser"), f"sweep.pair_kinds: {_ONE_OF_PAIR_KINDS}, got 'laser'"),
     "unknown-section": ("evaluate", MINIMAL + "\n[cooling]\nx = 1\n", "cooling: unknown section"),
+    "default-section": ("evaluate", "[DEFAULT]\nresolution_cap = 5\n\n" + MINIMAL, "DEFAULT: unknown section"),
 }
 
 
@@ -335,7 +339,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["evaluate", "optimize"])
     def test_negative_seed_is_2(self, command, tmp_path, capsys):
-        # checked by simulate, which seeds one Philox stream per (seed, block)
+        # checked by simulate, which seeds one PCG64 stream per (seed, block)
         path = write_config(tmp_path)
         status, out, err = run_cli([command, "--config", path, "--mc-check", "1000", "--seed", "-1"], capsys)
         assert status == 2
@@ -568,3 +572,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "muxsps" in proc.stdout
+
+
+def test_table_run_leaves_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma, 16-25 ms that every process and pool worker would pay
+    code = "import sys; from muxsps.cli import main; status = main(sys.argv[1:]); print(status, 'numpy.ma' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["table", "--preset", "ssm-spd", "--workers", "1", "--out", str(tmp_path / "table.csv")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.stdout == "0 False\n", proc.stderr

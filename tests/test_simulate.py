@@ -26,13 +26,23 @@ def tree_config(mean, eff, router, units, strategy=None, kind=PairKind.POISSONIA
 sampler = importlib.import_module("muxsps.simulate")
 
 
-def test_no_pairs_all_vacuum():
-    cfg = tree_config(0.0, 0.9, 0.9, 4)
-    cdf, _, pairs, heralded = sampler._states(cfg)
-    assert cdf.size == 1 and pairs.tolist() == [0] and not heralded.any()
-    est = simulate(cfg, 10_000, seed=1)
-    assert est.counts[0] == 10_000
+def _assert_only_vacuum(cfg):
+    p_h, cdf, _, pairs = sampler._states(cfg)
+    assert p_h == 0.0 and cdf.size == 0 and pairs.size == 0
+    est = simulate(cfg, 100_000, seed=7)
+    assert est.counts[0] == 100_000
     assert est.p_hat[0] == 1.0
+
+
+def test_no_pairs_all_vacuum():
+    _assert_only_vacuum(tree_config(0.0, 0.9, 0.9, 4))
+    _assert_only_vacuum(tree_config(0.0, 0.9, 0.9, 4, strategy=HeraldingStrategy.threshold()))
+
+
+def test_zero_efficiency_gives_only_vacuum():
+    # every reading is 0, which never heralds
+    _assert_only_vacuum(tree_config(2.0, 0.0, 0.9, 4, strategy=HeraldingStrategy.threshold()))
+    _assert_only_vacuum(tree_config(2.0, 0.0, 0.9, 4))
 
 
 def test_counts_account_for_every_sample():
@@ -139,12 +149,6 @@ def test_thermal_pair_tail_left_out_is_below_resolution(mean):
     assert pmf == pytest.approx(ratio ** np.arange(pmf.size) / (1.0 + mean), rel=1e-12)
 
 
-def test_zero_efficiency_gives_only_vacuum():
-    cfg = tree_config(2.0, 0.0, 0.9, 4, strategy=HeraldingStrategy.threshold())
-    assert not sampler._states(cfg)[3].any()  # no state heralds: every reading is 0
-    assert simulate(cfg, 100_000, seed=7).counts[0] == 100_000
-
-
 def test_unit_efficiency_single_photon_agrees_with_engine():
     cfg = tree_config(0.6, 1.0, 0.9, 4)
     est = simulate(cfg, 1_000_000, seed=23)
@@ -155,8 +159,9 @@ def test_unit_efficiency_single_photon_agrees_with_engine():
 
 def test_bright_thermal_source_table_size_and_agreement():
     cfg = tree_config(20.0, 0.8, 0.9, 4, strategy=HeraldingStrategy.up_to(10), kind=PairKind.THERMAL)
-    cdf = sampler._states(cfg)[0]
-    assert cdf.size <= 12 * sampler._pair_pmf(cfg.dist).size
+    cdf = sampler._states(cfg)[1]
+    # only heralding states are kept: at most one per accepted reading and pair number
+    assert cdf.size <= 10 * sampler._pair_pmf(cfg.dist).size
     est = simulate(cfg, 1_000_000, seed=29)
     exact = output_distribution(cfg)
     for i in range(4):
@@ -169,19 +174,65 @@ def test_bright_thermal_source_table_size_and_agreement():
      (HeraldingStrategy(frozenset({2, 3})), {2, 3})],
 )
 def test_overflow_reading_heralds_only_under_threshold(strategy, heralding_pairs):
-    # at unit efficiency the reading is min(pairs, top + 1), so every state above the
-    # largest accepted count reads the overflow
-    _, _, pairs, heralded = sampler._states(tree_config(2.0, 1.0, 0.9, 2, strategy=strategy))
-    assert pairs.max() > 4
-    assert heralded.tolist() == [int(l) in heralding_pairs for l in pairs]
+    # at unit efficiency the reading is min(pairs, top + 1), so every pair number above
+    # the largest accepted count reads the overflow
+    cfg = tree_config(2.0, 1.0, 0.9, 2, strategy=strategy)
+    length = sampler._pair_pmf(cfg.dist).size
+    _, _, _, pairs = sampler._states(cfg)
+    assert length > 5
+    assert pairs.tolist() == [l for l in range(length) if l in heralding_pairs]
+
+
+def _herald_probability(cfg):
+    """Sum over l of P(l) times P(accepted reading | l), from math.comb, to l = 400."""
+    mean, eff = cfg.dist.mean, cfg.detector.efficiency
+    if cfg.dist.kind is PairKind.THERMAL:
+        pair = [(mean / (1.0 + mean)) ** l / (1.0 + mean) for l in range(400)]
+    else:
+        pair = [math.exp(l * math.log(mean) - mean - math.lgamma(l + 1)) for l in range(400)]
+
+    def reading(l, r):
+        return math.comb(l, r) * eff**r * (1.0 - eff) ** (l - r)
+
+    if cfg.strategy.is_threshold:
+        return math.fsum(p * (1.0 - (1.0 - eff) ** l) for l, p in enumerate(pair))
+    return math.fsum(p * reading(l, r) for l, p in enumerate(pair) for r in cfg.strategy.accepted if r <= l)
+
+
+@pytest.mark.parametrize("kind", list(PairKind))
+@pytest.mark.parametrize("mean", [0.05, 1.0, 6.0])
+@pytest.mark.parametrize("eff", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "strategy",
+    [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3),
+     HeraldingStrategy(frozenset({2, 5}))],
+)
+def test_herald_probability_is_the_sum_over_accepted_readings(kind, mean, eff, strategy):
+    cfg = tree_config(mean, eff, 0.9, 2, strategy=strategy, kind=kind)
+    p_h, cdf, _, _ = sampler._states(cfg)
+    assert p_h == cdf[-1]
+    assert abs(p_h - _herald_probability(cfg)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(PairKind))
 def test_guide_table_draw_equals_plain_inverse_cdf(kind):
-    cdf, guide, _, _ = sampler._states(tree_config(1.5, 0.7, 0.9, 2, strategy=HeraldingStrategy.up_to(3), kind=kind))
-    drawn = sampler._draw_states(np.random.default_rng(3), cdf, guide, 200_000)
-    u = np.random.default_rng(3).random(200_000)
+    for strategy in (HeraldingStrategy.up_to(3), HeraldingStrategy.threshold()):
+        p_h, cdf, guide, _ = sampler._states(tree_config(1.5, 0.7, 0.9, 2, strategy=strategy, kind=kind))
+        u = np.random.default_rng(3).random(400_000)
+        u = u[u < p_h]
+        assert u.size > 50_000
+        assert np.array_equal(sampler._draw_states(u, p_h, cdf, guide), np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("kind", list(PairKind))
+@pytest.mark.parametrize("mean, eff", [(0.1, 0.3), (1.5, 0.7), (20.0, 1.0)])
+def test_largest_uniform_below_herald_probability_maps_inside_the_table(kind, mean, eff):
+    p_h, cdf, guide, _ = sampler._states(tree_config(mean, eff, 0.9, 2, strategy=HeraldingStrategy.up_to(3), kind=kind))
+    # u * guide.size / p_h can round up to guide.size itself
+    u = np.array([np.nextafter(p_h, 0.0), 0.0])
+    drawn = sampler._draw_states(u, p_h, cdf, guide)
     assert np.array_equal(drawn, np.searchsorted(cdf, u, side="right"))
+    assert drawn.max() < cdf.size
 
 
 def test_sampler_binds_no_engine_series():
