@@ -6,9 +6,8 @@ from .engine import (
     DEFAULT_I_MAX,
     OutputDistribution,
     SourceConfig,
+    closed_form,
     output_distribution,
-    p1_spd_closed_form,
-    p1_threshold_closed_form,
 )
 from .losses import MultiplexerModel, MuxKind, unit_transmissions
 from .optimize import (
@@ -51,14 +50,13 @@ __all__ = [
     "SimulationEstimate",
     "SourceConfig",
     "StrategyScanResult",
+    "closed_form",
     "comparison_map",
     "maximize_over_lambda",
     "optimize_strategies",
     "optimize_strategy",
     "optimize_units",
     "output_distribution",
-    "p1_spd_closed_form",
-    "p1_threshold_closed_form",
     "simulate",
     "unit_transmissions",
 ]

@@ -126,8 +126,9 @@ def _emit(spec: RunSpec, header: Sequence[str], rows: Iterable[Sequence], meta: 
 def _mc_check(cfg: SourceConfig, exact: OutputDistribution, spec: RunSpec, meta: list[tuple[str, str]]) -> int:
     """Sample the pipeline and compare against its exact distribution."""
     estimate = simulate(cfg, spec.mc_samples, spec.seed)
-    worst = max(estimate.sigma(i, exact[i]) for i in range(MC_CHECK_I_MAX + 1))
-    meta.append(("mc_check", f"samples={spec.mc_samples} seed={spec.seed} max_sigma={worst:.3f} (i<={MC_CHECK_I_MAX})"))
+    top = min(MC_CHECK_I_MAX, cfg.i_max)  # the exact distribution ends at i_max
+    worst = max(estimate.sigma(i, exact[i]) for i in range(top + 1))
+    meta.append(("mc_check", f"samples={spec.mc_samples} seed={spec.seed} max_sigma={worst:.3f} (i<={top})"))
     if worst > MC_SIGMA_LIMIT:
         print(
             f"muxsps: consistency failure: sampled pipeline deviates {worst:.2f} standard errors "
@@ -216,6 +217,8 @@ def _cmd_map(spec: RunSpec) -> int:
         progress=_progress("map", len(sweep.vd_values) * len(sweep.vr_values)),
     )
     vd, vr = np.meshgrid(result.axis_vd, result.axis_vr, indexing="ij")
+    # delta_m: optimal router levels of threshold minus single-photon heralding
+    delta_m = np.rint(np.log2(result.n_opt_threshold) - np.log2(result.n_opt_spd)).astype(int)
     columns = [
         ("V_D", vd),
         ("V_r", vr),
@@ -225,11 +228,11 @@ def _cmd_map(spec: RunSpec) -> int:
         ("P_1_max_th", result.p1_threshold),
         ("N_opt_th", result.n_opt_threshold),
         ("lambda_opt_th", result.lambda_opt_threshold),
-        ("delta_P", result.delta_p),
-        ("delta_m", result.delta_m),
+        ("delta_P", result.p1_spd - result.p1_threshold),
+        ("delta_m", delta_m),
         ("J_opt", result.j_opt),
         ("P_1_max_jopt", result.p1_jopt),
-        ("delta_P_jopt", result.delta_p_jopt),
+        ("delta_P_jopt", result.p1_jopt - np.maximum(result.p1_spd, result.p1_threshold)),
     ]
     rows = zip(*(values.ravel() for _, values in columns))
     _emit(spec, [name for name, _ in columns], rows, _meta(spec))

@@ -9,9 +9,9 @@ path.  If no unit heralds, the output is vacuum.
 One kernel, ``p1_profile``, evaluates the resulting output photon-number
 probabilities exactly, up to a controlled series truncation, for a batch
 of (heralding strategy, multiplexer, unit count) lanes and pump means;
-``output_distribution`` is its one-lane, one-mean call.  For a Poissonian
-source the threshold and single-photon heralding cases also admit closed
-forms, kept here as independent cross-checks.
+``output_distribution`` is its one-lane, one-mean call.  ``closed_form``
+gives the same probabilities without any series, as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -373,49 +373,49 @@ def p1_profile(
     return out[0] if one else out
 
 
-def _require_poissonian(cfg: SourceConfig, wanted: str) -> None:
-    if cfg.dist.kind is not PairKind.POISSONIAN:
-        raise ValueError(f"closed form requires a Poissonian source, got {cfg.dist.kind.value}")
-    if wanted == "threshold" and not cfg.strategy.is_threshold:
-        raise ValueError("closed form requires threshold heralding")
-    if wanted == "single" and cfg.strategy.accepted != frozenset({1}):
-        raise ValueError("closed form requires the single-photon heralding set {1}")
+def closed_form(cfg: SourceConfig) -> tuple[float, ...]:
+    """P_0..P_{cfg.i_max} for any pair kind, heralding strategy and multiplexer, in closed form.
+
+    Each pair's idler is detected with probability V_D and its signal
+    survives unit n with probability v_n, independently, so one unit's
+    P(D = j detected, S = i surviving) is a finite sum over the a <= min(i, j)
+    pairs that do both.  No series and no truncation: independent of the
+    series engine, for use as a cross-check oracle.
+    """
+    lam, eff, thermal = cfg.dist.mean, cfg.detector.efficiency, cfg.dist.kind is PairKind.THERMAL
+    q = lam / (1.0 + lam)
+
+    def joint(j: int, i: int, d: float, v: float) -> float:  # P(D = j, S = i) at detection d, transmission v
+        # pairs neither detected nor surviving sum out, as a negative-binomial series if thermal
+        lost = (1.0 - d) * (1.0 - v)
+        scale = q / (1.0 - q * lost) if thermal else lam
+        rates = (scale * d * v, scale * d * (1.0 - v), scale * (1.0 - d) * v)
+        total = 0.0
+        for a in range(min(i, j) + 1):  # detected and surviving, detected only, surviving only
+            term = math.prod(r**k / math.factorial(k) for r, k in zip(rates, (a, j - a, i - a)))
+            total += term * (math.factorial(i + j - a) if thermal else 1)
+        return total * ((1.0 - q) / (1.0 - q * lost) if thermal else math.exp(-lam * (1.0 - lost)))
+
+    # P(D = j) is joint(j, 0) at v = 0, and P(S = i) is joint(0, i) at V_D = 0
+    threshold, accepted = cfg.strategy.is_threshold, sorted(cfg.strategy.accepted or ())
+    miss = joint(0, 0, eff, 0.0) if threshold else 1.0 - math.fsum(joint(j, 0, eff, 0.0) for j in accepted)
+
+    def herald(i: int, v: float) -> float:  # P(unit heralds, S = i)
+        if threshold:
+            return joint(0, i, 0.0, v) - joint(0, i, eff, v)
+        return math.fsum(joint(j, i, eff, v) for j in accepted)
+
+    weights: dict[float, float] = {}  # the priority weight miss**(n-1), summed per distinct transmission
+    for n, v in enumerate(unit_transmissions(cfg.mux, cfg.units).tolist()):
+        weights[v] = weights.get(v, 0.0) + miss**n
+    probs = [math.fsum(w * herald(i, v) for v, w in weights.items()) for i in range(cfg.i_max + 1)]
+    probs[0] += miss**cfg.units  # no unit heralds
+    return tuple(probs)
 
 
 def p1_threshold_closed_form(cfg: SourceConfig) -> float:
-    """Single-photon output probability under threshold heralding.
-
-    Poissonian source only; independent of the series engine, for use as a
-    cross-check oracle.
-    """
-    _require_poissonian(cfg, "threshold")
-    lam = cfg.dist.mean
-    eff = cfg.detector.efficiency
-    vn = unit_transmissions(cfg.mux, cfg.units)
-    priority = np.exp(-lam * eff * np.arange(cfg.units))
-    per_unit = (
-        lam
-        * vn
-        * math.exp(-lam)
-        * (np.exp(lam * (1.0 - vn)) - (1.0 - eff) * np.exp(lam * (1.0 - vn) * (1.0 - eff)))
-    )
-    return float(np.dot(priority, per_unit))
+    """P_1 of ``closed_form``, for any strategy; ``p1_spd_closed_form`` is the same function."""
+    return closed_form(replace(cfg, i_max=1))[1]
 
 
-def p1_spd_closed_form(cfg: SourceConfig) -> float:
-    """Single-photon output probability under exactly-one-photon heralding.
-
-    Poissonian source only; independent of the series engine, for use as a
-    cross-check oracle.
-    """
-    _require_poissonian(cfg, "single")
-    lam = cfg.dist.mean
-    eff = cfg.detector.efficiency
-    vn = unit_transmissions(cfg.mux, cfg.units)
-    miss = 1.0 - eff * lam * math.exp(-eff * lam)
-    priority = np.exp(np.arange(cfg.units) * math.log(miss))
-    # per-pair probability that the idler evades detection and the signal
-    # is then lost in the multiplexer; the bracket resums its Poisson tail
-    residual = (1.0 - eff) * (1.0 - vn)
-    per_unit = (1.0 + residual * lam) * lam * eff * vn * np.exp((residual - 1.0) * lam)
-    return float(np.dot(priority, per_unit))
+p1_spd_closed_form = p1_threshold_closed_form

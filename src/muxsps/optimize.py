@@ -83,18 +83,12 @@ class StrategyScanResult:
 class ComparisonMap:
     """Cell-by-cell comparison of heralding modes over a loss-parameter grid.
 
-    ``delta_p`` is the single-photon-probability gain of exactly-one-photon
-    heralding over threshold heralding; ``delta_m`` the difference in
-    optimal router levels (threshold minus single-photon); ``j_opt`` the
-    best accepted-count cutoff; ``delta_p_jopt`` the gain of the optimized
-    cutoff over the better of the two fixed modes.
+    Each cell holds the optimum of exactly-one-photon heralding (``spd``),
+    of threshold heralding, and of the best accepted-count cutoff ``j_opt``.
     """
 
     axis_vd: np.ndarray
     axis_vr: np.ndarray
-    delta_p: np.ndarray
-    delta_m: np.ndarray
-    delta_p_jopt: np.ndarray
     j_opt: np.ndarray
     p1_spd: np.ndarray
     p1_threshold: np.ndarray
@@ -330,23 +324,15 @@ def comparison_map(
     threshold = [t for t, _ in results]
     # the scan's j=1 entry is exactly-one-photon heralding
     spd = [scan.results_by_j[0][1] for _, scan in results]
-    p1_spd = grid(r.p1_max for r in spd)
-    p1_threshold = grid(r.p1_max for r in threshold)
-    p1_jopt = grid(scan.best().p1_max for _, scan in results)
-    n_spd = grid((r.n_opt for r in spd), int)
-    n_threshold = grid((r.n_opt for r in threshold), int)
     return ComparisonMap(
         axis_vd=axis_vd,
         axis_vr=axis_vr,
-        delta_p=p1_spd - p1_threshold,
-        delta_m=np.rint(np.log2(n_threshold) - np.log2(n_spd)).astype(int),
-        delta_p_jopt=p1_jopt - np.maximum(p1_spd, p1_threshold),
         j_opt=grid((scan.j_opt for _, scan in results), int),
-        p1_spd=p1_spd,
-        p1_threshold=p1_threshold,
-        p1_jopt=p1_jopt,
-        n_opt_spd=n_spd,
-        n_opt_threshold=n_threshold,
+        p1_spd=grid(r.p1_max for r in spd),
+        p1_threshold=grid(r.p1_max for r in threshold),
+        p1_jopt=grid(scan.best().p1_max for _, scan in results),
+        n_opt_spd=grid((r.n_opt for r in spd), int),
+        n_opt_threshold=grid((r.n_opt for r in threshold), int),
         lambda_opt_spd=grid(r.lambda_opt for r in spd),
         lambda_opt_threshold=grid(r.lambda_opt for r in threshold),
     )

@@ -10,12 +10,10 @@ generated signal photons, not from the detected idler count; detector
 efficiency acts only on the idler arm.
 
 Each visited unit draws one uniform u and heralds iff u < P_h, its herald
-probability; only a heralded u picks one of the unit's heralding (pairs,
-reading) states, by inverse CDF with a guide table over [0, P_h) (Chen's
-method).  Readings go up to the largest accepted count; all higher counts
-are one overflow reading, which heralds only under threshold heralding.
-l runs until the pair tail left out, which reads as no herald, is below
-2**-60, under a uniform's 2**-53 resolution.
+probability; only a heralded u picks the unit's pair number l, weighted by
+P(l) P(herald | l), by inverse CDF with a guide table over [0, P_h)
+(Chen's method).  l runs until the pair tail left out, which reads as no
+herald, is below 2**-60, under a uniform's 2**-53 resolution.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .engine import SourceConfig
 from .losses import unit_transmissions
-from .statistics import PairDistribution, PairKind, ParameterError
+from .statistics import HeraldingStrategy, PairDistribution, PairKind, ParameterError
 
 # fixed sampling block size: partial histograms merge associatively, so the
 # result is independent of how blocks are distributed over workers
@@ -77,38 +75,34 @@ def _pair_pmf(dist: PairDistribution) -> np.ndarray:
         log_term += math.log(q)
 
 
-def _reading_pmf(efficiency: float, top: int, length: int) -> np.ndarray:
-    """P(reading r | l pairs) for l < length and r = 0..top + 1.
-
-    Reading top + 1 is the overflow, any count above top.  A count first
-    passes top when a photon is detected at a count of exactly top, so the
-    overflow column is a running sum of column top.
-    """
-    ls, rs = np.arange(length)[:, None], np.arange(top + 1)
+def _herald_given_pairs(strategy: HeraldingStrategy, efficiency: float, length: int) -> np.ndarray:
+    """P(herald | l pairs) for l < length: the binomial detection pmf summed over the accepted counts."""
+    ls = np.arange(length)
+    if strategy.is_threshold:  # any click
+        return 1.0 - (1.0 - efficiency) ** ls
+    ls, rs = ls[:, None], np.arange(max(strategy.accepted) + 1)
     # C(l, r) = C(l, r - 1) * (l - r + 1) / r, which stays 0 once r > l
     steps = np.where(rs > 0, np.maximum(ls - rs + 1, 0) / np.maximum(rs, 1), 1.0)
     pmf = np.cumprod(steps, axis=1) * efficiency**rs * (1.0 - efficiency) ** np.maximum(ls - rs, 0)
-    overflow = efficiency * np.concatenate([[0.0], np.cumsum(pmf[:-1, top])])
-    return np.column_stack([pmf, overflow])
+    return pmf[:, sorted(strategy.accepted)].sum(axis=1)
 
 
 def _states(cfg: SourceConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(p_h, cdf, guide, pairs) of a unit's heralding (pairs, reading) states of nonzero probability.
+    """(p_h, cdf, guide, pairs): one state per pair number l that heralds with nonzero probability.
 
-    p_h = cdf[-1] is the herald probability.  guide[b] is the first state whose
-    cdf exceeds the start of bucket b - 1 of [0, p_h): one bucket early, as
-    rounding may put a uniform in the bucket above its own.
+    A state weighs P(l) P(herald | l), and p_h = cdf[-1] is the herald
+    probability.  guide[b] is the first state whose cdf exceeds the start of
+    bucket b - 1 of [0, p_h): one bucket early, as rounding may put a uniform
+    in the bucket above its own.
     """
-    top = 0 if cfg.strategy.is_threshold else max(cfg.strategy.accepted)
-    heralds = [top + 1] if cfg.strategy.is_threshold else sorted(cfg.strategy.accepted)  # heralding readings
     pair_pmf = _pair_pmf(cfg.dist)
-    joint = pair_pmf[:, None] * _reading_pmf(cfg.detector.efficiency, top, pair_pmf.size)[:, heralds]
-    kept = np.flatnonzero(joint)
-    cdf = np.cumsum(joint.ravel()[kept])
+    joint = pair_pmf * _herald_given_pairs(cfg.strategy, cfg.detector.efficiency, pair_pmf.size)
+    pairs = np.flatnonzero(joint)
+    cdf = np.cumsum(joint[pairs])
     p_h = float(cdf[-1]) if cdf.size else 0.0
-    buckets = 1 << (2 * kept.size).bit_length()
+    buckets = 1 << (2 * pairs.size).bit_length()
     guide = np.searchsorted(cdf, np.maximum(np.arange(-1, buckets - 1), 0) * (p_h / buckets), side="right")
-    return p_h, cdf, guide, kept // len(heralds)
+    return p_h, cdf, guide, pairs
 
 
 def _draw_states(u: np.ndarray, p_h: float, cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:

@@ -23,8 +23,7 @@ from muxsps import (
     optimize_strategy,
     optimize_units,
     output_distribution,
-    p1_spd_closed_form,
-    p1_threshold_closed_form,
+    closed_form,
     simulate,
 )
 from muxsps.statistics import pmf_array, truncation_length
@@ -69,7 +68,7 @@ def report(number: int, name: str) -> None:
 
 
 def test_criterion_01_closed_form_equivalence():
-    """Engine vs the two closed forms, 100 random Poissonian configs, 1e-10."""
+    """Engine vs the closed form, P_0..P_3 of 100 random Poissonian configs, 1e-10."""
     rng = np.random.default_rng(424242)
     for trial in range(100):
         mean = rng.uniform(0.01, 5.0)
@@ -87,10 +86,9 @@ def test_criterion_01_closed_form_equivalence():
         base = SourceConfig(
             PairDistribution(PairKind.POISSONIAN, float(mean)), DetectorModel(float(eff)), SPD, mux, units
         )
-        spd_cfg = base
-        th_cfg = replace(base, strategy=THRESHOLD)
-        assert output_distribution(spd_cfg)[1] == pytest.approx(p1_spd_closed_form(spd_cfg), abs=1e-10)
-        assert output_distribution(th_cfg)[1] == pytest.approx(p1_threshold_closed_form(th_cfg), abs=1e-10)
+        for cfg in (base, replace(base, strategy=THRESHOLD)):
+            exact = output_distribution(cfg).probabilities[:4]
+            assert exact == pytest.approx(closed_form(replace(cfg, i_max=3)), abs=1e-10)
     report(1, "closed-form oracle equivalence")
 
 
@@ -131,9 +129,9 @@ def test_criterion_04_reference_design_point():
 
 def test_criterion_05_heralding_mode_gap_extrema():
     favorable = comparison_map([0.98], [0.95], j_max=1)
-    assert favorable.delta_p[0, 0] == pytest.approx(0.089, abs=2e-3)
+    assert favorable.p1_spd[0, 0] - favorable.p1_threshold[0, 0] == pytest.approx(0.089, abs=2e-3)
     unfavorable = comparison_map([0.59], [0.30], j_max=1)
-    assert unfavorable.delta_p[0, 0] == pytest.approx(-0.158, abs=2e-3)
+    assert unfavorable.p1_spd[0, 0] - unfavorable.p1_threshold[0, 0] == pytest.approx(-0.158, abs=2e-3)
     report(5, "single-photon vs threshold gap extrema")
 
 

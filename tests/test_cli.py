@@ -380,6 +380,16 @@ class TestExitCodes:
         assert "# mc_check: samples=200000" in out
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    @pytest.mark.parametrize("i_max", [1, 2])
+    def test_mc_check_stops_at_i_max(self, command, i_max, tmp_path, capsys):
+        # the exact distribution ends at i_max, below the counts --mc-check compares by default
+        path = write_config(tmp_path, _optimizer(f"i_max = {i_max}"))
+        status, out, err = run_cli([command, "--config", path, "--mc-check", "10000", "--seed", "1"], capsys)
+        assert status == 0, err
+        assert re.search(rf"^# mc_check: samples=10000 seed=1 max_sigma=\d+\.\d{{3}} \(i<={i_max}\)$", out, re.M)
+
+
 class TestDumpConfig:
     def test_prints_canonical_document(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Exact output-distribution engine and its closed-form cross-checks."""
 
 import math
+import types
 from dataclasses import replace
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from muxsps import engine
 from muxsps.engine import (
     OutputDistribution,
     SourceConfig,
+    closed_form,
     output_distribution,
     p1_profile,
     p1_spd_closed_form,
@@ -83,32 +86,46 @@ class TestKnownOperatingPoint:
 
 class TestClosedForms:
     def test_zero_mean(self):
-        cfg = constant_loss_config(0.0, 0.9, 0.9, 2, HeraldingStrategy.threshold())
-        assert p1_threshold_closed_form(cfg) == 0.0
-        cfg = constant_loss_config(0.0, 0.9, 0.9, 2, HeraldingStrategy.single_photon())
-        assert p1_spd_closed_form(cfg) == 0.0
+        for strategy in (HeraldingStrategy.threshold(), HeraldingStrategy.single_photon()):
+            assert closed_form(constant_loss_config(0.0, 0.9, 0.9, 2, strategy)) == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_single_lossless_unit_reduces_to_heralded_poisson(self):
-        for builder in (p1_threshold_closed_form, p1_spd_closed_form):
-            strategy = (
-                HeraldingStrategy.threshold()
-                if builder is p1_threshold_closed_form
-                else HeraldingStrategy.single_photon()
-            )
+        for strategy in (HeraldingStrategy.threshold(), HeraldingStrategy.single_photon()):
             cfg = constant_loss_config(0.8, 1.0, 1.0, 1, strategy)
-            assert builder(cfg) == pytest.approx(0.8 * math.exp(-0.8), rel=1e-13)
+            assert closed_form(cfg)[1] == pytest.approx(0.8 * math.exp(-0.8), rel=1e-13)
+            assert p1_threshold_closed_form(cfg) == p1_spd_closed_form(cfg) == closed_form(cfg)[1]
 
     def test_spd_maximum_at_unit_mean(self):
         cfg = constant_loss_config(1.0, 1.0, 1.0, 1, HeraldingStrategy.single_photon())
-        assert p1_spd_closed_form(cfg) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        assert closed_form(cfg)[1] == pytest.approx(math.exp(-1.0), rel=1e-13)
+
+    def test_thermal_single_lossless_unit_pinned(self):
+        # V_D = 1 and no loss: the output is the pair number whenever it heralds
+        mean = 0.7
+        thermal = [mean**l / (1.0 + mean) ** (l + 1) for l in range(9)]
+        cfg = constant_loss_config(mean, 1.0, 1.0, 1, HeraldingStrategy.single_photon(), kind=PairKind.THERMAL)
+        assert closed_form(cfg)[1] == pytest.approx(mean / (1.0 + mean) ** 2, rel=1e-13)
+        cfg = replace(cfg, strategy=HeraldingStrategy.threshold())
+        assert closed_form(cfg) == pytest.approx(thermal, rel=1e-13)
+
+    def test_accepted_set_and_priority_pinned(self):
+        # a lossy unit passes each photon with v; a second unit sees only the first's misses
+        mean, v = 1.3, 0.6
+        cfg = constant_loss_config(mean, 1.0, v, 1, HeraldingStrategy(frozenset({2})))
+        two_pairs = math.exp(-mean) * mean**2 / 2.0
+        want = [1.0 - two_pairs + two_pairs * (1.0 - v) ** 2, two_pairs * 2.0 * v * (1.0 - v), two_pairs * v**2]
+        assert closed_form(cfg)[:3] == pytest.approx(want, rel=1e-13)
+        cfg = constant_loss_config(mean, 1.0, 1.0, 2, HeraldingStrategy.single_photon(), kind=PairKind.THERMAL)
+        herald = mean / (1.0 + mean) ** 2
+        assert closed_form(cfg)[1] == pytest.approx(herald * (2.0 - herald), rel=1e-13)
 
     def test_engine_matches_threshold_form(self):
         cfg = constant_loss_config(0.5, 0.8, 0.9, 2, HeraldingStrategy.threshold())
-        assert output_distribution(cfg)[1] == pytest.approx(p1_threshold_closed_form(cfg), abs=1e-11)
+        assert output_distribution(cfg).probabilities == pytest.approx(closed_form(cfg), abs=1e-11)
 
     def test_engine_matches_spd_form(self):
         cfg = constant_loss_config(0.5, 0.8, 0.9, 1, HeraldingStrategy.single_photon())
-        assert output_distribution(cfg)[1] == pytest.approx(p1_spd_closed_form(cfg), abs=1e-11)
+        assert output_distribution(cfg).probabilities == pytest.approx(closed_form(cfg), abs=1e-11)
 
     @pytest.mark.parametrize("units", [512, 1024])
     @pytest.mark.parametrize(
@@ -122,17 +139,12 @@ class TestClosedForms:
         cfg = SourceConfig(
             PairDistribution(PairKind.POISSONIAN, 5.0), DetectorModel(0.95), HeraldingStrategy.threshold(), mux, units
         )
-        assert output_distribution(cfg)[1] == pytest.approx(p1_threshold_closed_form(cfg), abs=1e-11)
+        assert output_distribution(cfg)[1] == pytest.approx(closed_form(cfg)[1], abs=1e-11)
 
     @pytest.mark.parametrize(
-        "strategy, closed_form",
-        [
-            (HeraldingStrategy.threshold(), p1_threshold_closed_form),
-            (HeraldingStrategy.single_photon(), p1_spd_closed_form),
-        ],
-        ids=["threshold", "spd"],
+        "strategy", [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon()], ids=["threshold", "spd"]
     )
-    def test_engine_matches_closed_forms_when_weakly_pumped_at_1024_units(self, strategy, closed_form):
+    def test_engine_matches_closed_forms_when_weakly_pumped_at_1024_units(self, strategy):
         # a herald probability near 1/units: the priority sum amplifies the
         # truncated herald mass by about the unit count
         cfg = SourceConfig(
@@ -142,19 +154,20 @@ class TestClosedForms:
             MultiplexerModel.symmetric_spatial(1.0),
             1024,
         )
-        assert output_distribution(cfg)[1] == pytest.approx(closed_form(cfg), abs=1e-11)
+        assert output_distribution(cfg)[1] == pytest.approx(closed_form(cfg)[1], abs=1e-11)
 
-    def test_wrong_strategy_rejected(self):
-        cfg = constant_loss_config(0.5, 0.8, 0.9, 2, HeraldingStrategy.single_photon())
-        with pytest.raises(ValueError):
-            p1_threshold_closed_form(cfg)
-        with pytest.raises(ValueError):
-            p1_spd_closed_form(replace(cfg, strategy=HeraldingStrategy.threshold()))
-
-    def test_thermal_rejected(self):
-        cfg = constant_loss_config(0.5, 0.8, 0.9, 2, HeraldingStrategy.threshold(), kind=PairKind.THERMAL)
-        with pytest.raises(ValueError):
-            p1_threshold_closed_form(cfg)
+    def test_closed_form_binds_no_engine_series(self):
+        # the oracle checks the series engine, so it may share none of its code
+        series = {"pmf_array", "herald_weights", "binomial_coefficients", "log_factorials", "truncation_length",
+                  "p1_profile", "profile_lanes", "output_distribution"}
+        series |= {name for name, value in vars(engine).items() if name.startswith("_") and callable(value)}
+        names, stack = set(), [closed_form.__code__]
+        while stack:
+            code = stack.pop()
+            names |= set(code.co_names)
+            stack += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        assert "unit_transmissions" in names
+        assert names.isdisjoint(series)
 
 
 class TestAgainstIndependentReferences:
@@ -233,6 +246,21 @@ def random_configs(draw):
 
 
 @st.composite
+def oracle_configs(draw):
+    """``random_configs`` with means up to 20 and threshold, a cutoff 1..6 or a set of up to 3 counts."""
+    cfg = draw(random_configs())
+    strategy = draw(
+        st.one_of(
+            st.just(HeraldingStrategy.threshold()),
+            st.integers(1, 6).map(HeraldingStrategy.up_to),
+            st.frozensets(st.integers(1, 10), min_size=1, max_size=3).map(HeraldingStrategy),
+        )
+    )
+    dist, detector = replace(cfg.dist, mean=draw(st.floats(1e-4, 20.0))), DetectorModel(cfg.detector.efficiency, 10)
+    return replace(cfg, dist=dist, detector=detector, strategy=strategy, i_max=3)
+
+
+@st.composite
 def random_lanes(draw):
     """A config, lanes (unit count, strategy, multiplexer) and two means per lane, some at the λ ceiling."""
     kind = draw(st.sampled_from(list(PairKind)))
@@ -278,6 +306,21 @@ class TestInvariants:
         want = output_reference(cfg)
         assert list(out.probabilities) == pytest.approx(want, abs=5 * cfg.tail_tol)
         assert out.truncation_deficit == pytest.approx(1.0 - math.fsum(want), abs=5 * cfg.tail_tol)
+
+    @given(cfg=oracle_configs())
+    @example(  # a bright thermal source through a many-transmission chain, a set of three counts
+        cfg=SourceConfig(
+            PairDistribution(PairKind.THERMAL, 20.0),
+            DetectorModel(0.4, 10),
+            HeraldingStrategy(frozenset({1, 4, 10})),
+            MultiplexerModel.time_chain(0.9, generic_transmission=0.8),
+            24,
+            i_max=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_engine(self, cfg):
+        assert closed_form(cfg) == pytest.approx(output_distribution(cfg).probabilities, abs=1e-10)
 
     def test_output_distribution_accessors(self):
         out = OutputDistribution((0.25, 0.75), 0.0)

@@ -215,12 +215,12 @@ class TestOptimizeStrategy:
 class TestComparisonMap:
     def test_small_grid_shapes_and_identities(self):
         grid = comparison_map([0.9, 0.98], [0.95, 0.98], j_max=2)
-        assert grid.delta_p.shape == (2, 2)
-        assert grid.delta_p == pytest.approx(grid.p1_spd - grid.p1_threshold)
+        assert (grid.p1_spd - grid.p1_threshold).shape == (2, 2)
         assert np.all(grid.p1_jopt >= grid.p1_spd - 1e-12)
         assert np.all(grid.j_opt >= 1)
         # router levels differ by whole tree stages
-        assert grid.delta_m.dtype.kind == "i"
+        for n_opt in (grid.n_opt_spd, grid.n_opt_threshold):
+            assert n_opt.dtype.kind == "i" and np.all(n_opt & (n_opt - 1) == 0)
 
     def test_worker_count_does_not_change_results(self):
         serial = comparison_map([0.9], [0.9, 0.95], j_max=2, workers=1)

@@ -117,19 +117,21 @@ def test_rejects_negative_seed():
 
 
 @pytest.mark.parametrize("efficiency", [0.0, 0.05, 0.6, 0.999, 1.0])
-@pytest.mark.parametrize("top", [0, 1, 10])
-def test_every_reading_row_sums_to_one(efficiency, top):
-    readings = sampler._reading_pmf(efficiency, top, 900)
-    assert readings.shape == (900, top + 2)
-    assert (readings >= 0.0).all()
-    assert np.abs(readings.sum(axis=1) - 1.0).max() <= 1e-12
+@pytest.mark.parametrize(
+    "strategy",
+    [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(10),
+     HeraldingStrategy(frozenset({2, 5}))],
+    ids=["threshold", "1", "up-to-10", "2,5"],
+)
+def test_herald_given_pairs_matches_the_binomial_sums(efficiency, strategy):
+    def reading(l, r):
+        return math.comb(l, r) * efficiency**r * (1.0 - efficiency) ** (l - r)
 
-
-def test_readings_match_the_binomial_pmf():
-    readings = sampler._reading_pmf(0.3, 2, 8)
-    for l in range(8):
-        exact = [math.comb(l, r) * 0.3**r * 0.7 ** (l - r) for r in range(l + 1)] + [0.0] * 3
-        assert readings[l] == pytest.approx(exact[:3] + [math.fsum(exact[3:])], abs=1e-15)
+    if strategy.is_threshold:
+        exact = [1.0 - (1.0 - efficiency) ** l for l in range(900)]
+    else:
+        exact = [math.fsum(reading(l, r) for r in strategy.accepted if r <= l) for l in range(900)]
+    assert sampler._herald_given_pairs(strategy, efficiency, 900).tolist() == pytest.approx(exact, abs=1e-15)
 
 
 @pytest.mark.parametrize("mean", [1e-4, 0.5, 1.0, 5.0, 20.0])
@@ -160,8 +162,8 @@ def test_unit_efficiency_single_photon_agrees_with_engine():
 def test_bright_thermal_source_table_size_and_agreement():
     cfg = tree_config(20.0, 0.8, 0.9, 4, strategy=HeraldingStrategy.up_to(10), kind=PairKind.THERMAL)
     cdf = sampler._states(cfg)[1]
-    # only heralding states are kept: at most one per accepted reading and pair number
-    assert cdf.size <= 10 * sampler._pair_pmf(cfg.dist).size
+    # only heralding states are kept: at most one per pair number
+    assert cdf.size <= sampler._pair_pmf(cfg.dist).size
     est = simulate(cfg, 1_000_000, seed=29)
     exact = output_distribution(cfg)
     for i in range(4):
@@ -174,8 +176,8 @@ def test_bright_thermal_source_table_size_and_agreement():
      (HeraldingStrategy(frozenset({2, 3})), {2, 3})],
 )
 def test_overflow_reading_heralds_only_under_threshold(strategy, heralding_pairs):
-    # at unit efficiency the reading is min(pairs, top + 1), so every pair number above
-    # the largest accepted count reads the overflow
+    # at unit efficiency every pair is detected, so a pair number heralds iff it is an
+    # accepted count, or any number above 0 under threshold heralding
     cfg = tree_config(2.0, 1.0, 0.9, 2, strategy=strategy)
     length = sampler._pair_pmf(cfg.dist).size
     _, _, _, pairs = sampler._states(cfg)
