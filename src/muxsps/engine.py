@@ -17,7 +17,7 @@ cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,10 +92,10 @@ def _no_herald_weights(miss, units: int) -> np.ndarray:
     return np.exp(np.multiply.outer(np.log(np.maximum(miss, _TINY)), np.arange(units)))
 
 
-def _survivor_polynomial(transmissions: np.ndarray, i: int, counts: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+def _survivor_polynomial(transmissions: np.ndarray, i, counts: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """[u, l-i] = C(l, i) * v_u**i * (1 - v_u)**(l-i): i of l photons survive v_u.
 
-    ``counts`` holds C(l, i) and ``exponents`` l - i, for l = i..l_max.
+    ``counts`` holds C(l, i) and ``exponents`` l - i, for l = i..l_max; an array of i broadcasts on leading axes.
     """
     v = transmissions[:, None]
     return v**i * counts * (1.0 - v) ** exponents
@@ -111,9 +111,9 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
     return OutputDistribution(tuple(probs.tolist()), 1.0 - float(probs.sum()))
 
 
-# with one row of means per lane, a lane sums its series length plus one
-# terms rounded up to a multiple of this, so a call has a few widths, each set
-# by its lanes' own lengths; 66 terms serve a mean of 20 at 1024 units
+# a uniform lane sums its series length plus one terms rounded up to a
+# multiple of this, so a call has a few widths, each set by its lanes' own
+# lengths; 66 terms serve a mean of 20 at 1024 units
 _WIDTH = 33
 
 
@@ -127,10 +127,11 @@ class ProfileLanes:
     ``joined`` concatenates the unit transmissions of every distinct
     (multiplexer, unit count) pair, ``offsets`` holds each lane's start in
     it, and ``uniform`` marks lanes whose units all share one transmission,
-    ``transmissions[tx]``.  ``with_series`` fixes each lane's own series for
-    calls with one row of means per lane: its means stay within ``bound``, it
-    sums ``width`` terms, and ``survive`` holds each herald-weight row times
-    the survivor polynomial of each transmission, for each of ``photons``.
+    ``transmissions[tx]``.  Each lane carries its own series: its means stay
+    within ``bound`` and it sums ``width`` terms.  ``tables`` caches, per
+    tuple of photon numbers, each herald-weight row times the survivor
+    polynomial of each transmission; every lane set made from these lanes
+    shares it.
     """
 
     units: np.ndarray
@@ -138,45 +139,47 @@ class ProfileLanes:
     offsets: np.ndarray
     uniform: np.ndarray
     tx: np.ndarray
+    bound: np.ndarray
+    width: np.ndarray
     weights: np.ndarray
     joined: np.ndarray
     transmissions: np.ndarray
     max_mean: float
     length: int
-    photons: tuple[int, ...] = ()
-    bound: np.ndarray | None = None
-    width: np.ndarray | None = None
-    survive: np.ndarray | None = None
+    tables: dict = field(default_factory=dict)
 
     def take(self, index: np.ndarray) -> ProfileLanes:
         """The lanes at ``index``, sharing every per-search table."""
         per_lane = ("units", "row", "offsets", "uniform", "tx", "bound", "width")
-        return replace(self, **{name: getattr(self, name)[index] for name in per_lane if getattr(self, name) is not None})
+        return replace(self, **{name: getattr(self, name)[index] for name in per_lane})
 
-    def with_series(self, cfg: SourceConfig, bound: np.ndarray, photons: tuple[int, ...]) -> ProfileLanes:
-        """These lanes, each with its own series for means up to its ``bound``.
+    def with_series(self, cfg: SourceConfig, bound: np.ndarray) -> ProfileLanes:
+        """These lanes, each with its series cut for means up to its ``bound`` (at most ``max_mean``).
 
         A lane's series length is ``_series_length`` at its bound and the
         lanes' largest unit count, at most ``length``.  Lengths grow with the
         mean, so a few searches find where the rounded widths step.  A lane
-        with many transmissions is summed alone, over its exact length.
+        with many transmissions sums its exact length.
         """
-        bound, units = np.array(bound, dtype=float), int(self.units.max())
+        bound, units = np.minimum(np.array(bound, dtype=float), self.max_mean), int(self.units.max())
 
         def terms(mean: float) -> int:
             return min(_series_length(cfg, mean, units), self.length) + 1
 
         means, at = np.unique(bound, return_inverse=True)
         width = np.array(_stepwise(lambda mean: -(-terms(mean) // _WIDTH) * _WIDTH, means.tolist()))[at]
-        many = np.flatnonzero(~self.uniform)
-        width[many] = [terms(mean) for mean in bound[many].tolist()]
-        ls = np.arange(width.max())
-        comb, weights = binomial_coefficients(max(photons), ls.size - 1), self.weights[:, None, : ls.size]
-        survive = np.zeros((len(photons), len(weights), self.transmissions.size, ls.size))
-        for k, i in enumerate(photons):
-            poly = _survivor_polynomial(self.transmissions, i, comb[i, i:], ls[: max(ls.size - i, 0)])
-            survive[k, ..., : max(ls.size - i, 0)] = weights[..., i:] * poly
-        return replace(self, photons=photons, bound=bound, width=width, survive=survive)
+        width[~self.uniform] = [terms(mean) for mean in bound[~self.uniform].tolist()]
+        return replace(self, bound=bound, width=width)
+
+    def survivors(self, photons: tuple[int, ...]) -> np.ndarray:
+        """Each herald-weight row times each transmission's survivor polynomial, as [k, row, tx, l - i] for i = ``photons[k]``."""
+        if photons not in self.tables:
+            size, i = self.weights.shape[-1], np.array(photons)[:, None, None]
+            l = np.minimum(i + np.arange(size), size - 1)  # pair counts; a sum reads only l < size, the rest are clipped
+            counts = binomial_coefficients(int(i.max()), size - 1)[i, l]
+            poly = _survivor_polynomial(self.transmissions, i, counts, np.arange(size))
+            self.tables[photons] = self.weights[:, l].transpose(1, 0, 2, 3) * poly[:, None]
+        return self.tables[photons]
 
 
 def _stepwise(f: Callable, xs: list) -> list:
@@ -220,7 +223,10 @@ def profile_lanes(
     multiplexer (default ``cfg.strategy`` and ``cfg.mux`` for every lane).
     The herald weights are computed once here, to the truncation point of
     ``max_mean`` and the largest unit count (which bounds the tail of every
-    smaller mean and unit count too) rounded up to whole widths.
+    smaller mean and unit count too) rounded up to whole widths.  Every lane
+    gets that series: bounded by ``max_mean``, and summing its length plus
+    one terms, rounded up to whole widths if its units share one
+    transmission.
     """
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
@@ -241,23 +247,26 @@ def profile_lanes(
     transmissions = np.array(sorted(set(joined[starts[uniform]].tolist())))  # plain np.unique imports numpy.ma (~20 ms)
     tx = np.searchsorted(transmissions, joined[starts])  # read for uniform lanes only
     lane_key = np.array(list(map(which.__getitem__, keys)))
-    # as long as any lane's rounded width
-    weights = np.array([herald_weights(s, cfg.detector, -(-(length + 1) // _WIDTH) * _WIDTH - 1) for s in distinct])
-    per_lane = (units, row, starts[lane_key], uniform[lane_key], tx[lane_key])
+    size = -(-(length + 1) // _WIDTH) * _WIDTH  # the rounded width of a uniform lane
+    weights = np.array([herald_weights(s, cfg.detector, size - 1) for s in distinct])
+    width = np.where(uniform[lane_key], size, length + 1)
+    per_lane = (units, row, starts[lane_key], uniform[lane_key], tx[lane_key], np.full(units.size, float(max_mean)), width)
     return ProfileLanes(*per_lane, weights, joined, transmissions, float(max_mean), length)
 
 
-def _priority_sum(out: np.ndarray, wanted: tuple[int, ...], pick: np.ndarray, units: np.ndarray, p: np.ndarray, sums) -> None:
-    """``out[:, pick]`` of lanes whose units share one transmission, from a unit's herald probability and sums."""
+def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at: np.ndarray, sums: np.ndarray) -> None:
+    """P_i of lanes whose units share one transmission, in place of ``sums``; ``p[at]`` is a unit's herald probability."""
     # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
     # keeps it finite at p = 0 (limit: units) and at p = 1
     q = np.minimum(np.maximum(p, _TINY), _BELOW_ONE)
-    geometric = -np.expm1(units[:, None] * np.log1p(-q)) / q
+    geometric = np.log1p(-q)[at]
+    geometric *= units[:, None]
+    np.negative(np.expm1(geometric, out=geometric), out=geometric)
+    geometric /= q[at]
     for k, i in enumerate(wanted):
-        values = sums[k] * geometric
+        sums[k] *= geometric
         if i == 0:  # no unit heralds
-            values += np.maximum(1.0 - p, 0.0) ** units[:, None]
-        out[k, pick] = values
+            sums[k] += np.maximum(1.0 - p, 0.0)[at] ** units[:, None]
 
 
 def p1_profile(
@@ -284,25 +293,21 @@ def p1_profile(
     multiplexer and unit count for lanes with many transmissions), and the
     priority sum in closed geometric form for a lane whose units all share
     one transmission.  P_0 also holds the no-herald term miss**units, and
-    photon numbers beyond the series are 0.  Shared means take one
-    truncation point, at the largest mean and unit count.  With one row of
-    means per lane, each lane is summed over its own series
-    (``ProfileLanes.with_series``, at each row's largest mean unless the
-    lanes carry their series), so its values do not depend on the other
+    photon numbers beyond the series are 0.  Each lane sums its own series,
+    ``width`` terms for means up to its ``bound`` (see
+    ``ProfileLanes.with_series``), so its values do not depend on the other
     lanes of the call.  Means must be non-negative.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
         raise ValueError("means must be a non-empty 1-d array, or one row per lane, of non-negative values")
-    top = float(means.max())
-    built = not isinstance(lanes, ProfileLanes)
-    if built:
-        lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=top)
-    per_lane = means.ndim == 2
-    if per_lane and len(means) != lanes.units.size:
+    if not isinstance(lanes, ProfileLanes):
+        lanes = profile_lanes(cfg, (cfg.units,) if lanes is None else lanes, max_mean=float(means.max()))
+    shared = means.ndim == 1
+    if not shared and len(means) != lanes.units.size:
         raise ValueError("a 2-d means array needs one row per lane")
-    if top > lanes.max_mean:
-        raise ValueError(f"means reach {top}, beyond the lanes' max_mean {lanes.max_mean}")
+    if (means.max(axis=-1) > lanes.bound).any():
+        raise ValueError("means reach beyond the series bound of their lanes")
     one = isinstance(photons, (int, np.integer))
     wanted = (int(photons),) if one else tuple(int(i) for i in photons)
     if min(wanted) < 0:
@@ -310,64 +315,42 @@ def p1_profile(
 
     out = np.zeros((len(wanted), lanes.units.size, means.shape[-1]))
     same, many = np.flatnonzero(lanes.uniform), np.flatnonzero(~lanes.uniform)
-    if per_lane:
-        if lanes.photons != wanted:
-            lanes = lanes.with_series(cfg, means.max(axis=1) if lanes.bound is None else lanes.bound, wanted)
-        if (means.max(axis=1) > lanes.bound).any():
-            raise ValueError("means reach beyond the series bound of their lanes")
-        if same.size:
-            herald, sums, widths = np.empty(out.shape[1:]), np.empty(out.shape), lanes.width[same]
-            for w in set(widths.tolist()):  # one pmf and two row dots per width
-                pick = same[widths == w]
-                pair, row = pmf_array(cfg.dist.kind, means[pick], w - 1), lanes.row[pick]
-                herald[pick] = np.vecdot(pair, lanes.weights[row, None, :w])
+    if same.size:
+        table, widths = lanes.survivors(wanted), lanes.width[same]
+        herald, at = [], np.empty(same.size, dtype=int)
+        sums = np.empty((len(wanted), same.size, means.shape[-1])) if many.size else out  # else P_i come out in place
+        for w in set(widths.tolist()):  # one pmf per width
+            sel = np.flatnonzero(widths == w)
+            pick, row, start = same[sel], lanes.row[same[sel]], sum(map(len, herald))
+            pair = pmf_array(cfg.dist.kind, means if shared else means[pick], w - 1)
+            if shared:  # herald probabilities per strategy row, and matrix-vector products per row and transmission
+                herald.append((pair @ lanes.weights[:, :w, None])[..., 0])
+                at[sel] = start + row
                 for k, i in enumerate(wanted):
-                    sums[k, pick] = np.vecdot(pair[..., i:], lanes.survive[k, row, lanes.tx[pick], None, : max(w - i, 0)])
-            _priority_sum(out, wanted, same, lanes.units[same], herald[same], sums[:, same])
-        if many.size:  # one pmf; each lane reads its own terms, and running sums stop its herald probability there
-            terms, at = lanes.width[many], dict(zip(many.tolist(), range(many.size)))
-            masses = pmf_array(cfg.dist.kind, means[many], terms.max() - 1)
-            masses *= lanes.weights[lanes.row[many], None, : masses.shape[-1]]
-            totals = np.cumsum(masses, axis=-1)[np.arange(many.size), :, terms - 1]
-
-        def mass_of(lane: int) -> tuple[np.ndarray, np.ndarray]:
-            return masses[at[lane], :, : lanes.width[lane]], totals[at[lane]]
-
-    else:
-        # a series of lanes built here is already cut at ``top``; otherwise the
-        # lanes' own cutoff bounds the tail, so a rounding-level overshoot of
-        # the recurrence near max_mean cannot outgrow the weights
-        l_max = lanes.length
-        if not built:
-            l_max = min(_series_length(cfg, top, int(lanes.units.max())), l_max)
-        comb = binomial_coefficients(max(wanted), l_max)
-        ls = np.arange(l_max + 1)
-        pair = pmf_array(cfg.dist.kind, means, l_max)
-        mass = pair * lanes.weights[:, None, : l_max + 1]  # one mass row per strategy
-        rows = mass.sum(axis=-1)
-        # one survivor polynomial per distinct transmission, indexed per lane
-        polys = [_survivor_polynomial(lanes.transmissions, i, comb[i, i:], ls[: max(l_max + 1 - i, 0)]) for i in wanted]
-        for r in range(len(rows)):  # a herald-weight row at a time, so only ``out`` spans lanes x means
-            pick = same[lanes.row[same] == r]
-            if pick.size:  # one matrix-vector product per transmission, read per lane
-                sums = [(mass[r, :, i:] @ poly[:, :, None])[lanes.tx[pick], :, 0] for i, poly in zip(wanted, polys)]
-                _priority_sum(out, wanted, pick, lanes.units[pick], rows[r], sums)
-
-        def mass_of(lane: int) -> tuple[np.ndarray, np.ndarray]:
-            return mass[lanes.row[lane]], rows[lanes.row[lane]]
-
+                    sums[k, sel] = (pair[:, i:] @ table[k, ..., : max(w - i, 0), None])[row, lanes.tx[pick], :, 0]
+            else:  # two row dots per lane
+                herald.append(np.vecdot(pair, lanes.weights[row, None, :w]))
+                at[sel] = start + np.arange(sel.size)
+                for k, i in enumerate(wanted):
+                    sums[k, sel] = np.vecdot(pair[..., i:], table[k, row, lanes.tx[pick], None, : max(w - i, 0)])
+        _priority_sum(wanted, lanes.units[same], np.concatenate(herald), at, sums)
+        if many.size:
+            out[:, same] = sums
+    if many.size:  # one pmf; each lane reads its own terms, and a running sum stops its herald probability there
+        pairs = pmf_array(cfg.dist.kind, means if shared else means[many], lanes.width[many].max() - 1)
     for start in sorted(set(lanes.offsets[many].tolist())):
-        group = many[lanes.offsets[many] == start]
-        n = int(lanes.units[group[0]])
-        group_masses = [mass_of(lane) for lane in group]
-        size = max(lane_mass.shape[-1] for lane_mass, _ in group_masses)
+        group = np.flatnonzero(lanes.offsets[many] == start)
+        n, size = int(lanes.units[many[group[0]]]), int(lanes.width[many[group]].max())
         comb, ls = binomial_coefficients(max(wanted), size - 1), np.arange(size)
         polys = [_survivor_polynomial(lanes.joined[start : start + n], i, comb[i, i:], ls[: max(size - i, 0)]).T for i in wanted]
-        for lane, (lane_mass, p) in zip(group, group_masses):  # lane by lane, so no temporary outgrows one lane's (means, units)
+        for j in group:  # lane by lane, so no temporary outgrows one lane's (means, units)
+            lane, w = many[j], lanes.width[many[j]]
+            mass = (pairs if shared else pairs[j])[:, :w] * lanes.weights[lanes.row[lane], :w]
+            p = np.cumsum(mass, axis=-1)[:, -1]
             priority = _no_herald_weights(1.0 - p, n)
             for k, (i, poly) in enumerate(zip(wanted, polys)):
-                if i < lane_mass.shape[-1]:
-                    out[k, lane] = np.einsum("kn,kn->k", priority, lane_mass[:, i:] @ poly[: lane_mass.shape[-1] - i])
+                if i < w:
+                    out[k, lane] = np.einsum("kn,kn->k", priority, mass[:, i:] @ poly[: w - i])
                 if i == 0:  # no unit heralds
                     out[k, lane] += np.maximum(1.0 - p, 0.0) ** n
     return out[0] if one else out

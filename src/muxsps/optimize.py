@@ -133,7 +133,7 @@ def maximize_over_lambda(
     lanes = profile_lanes(cfg_template, units, strategies, muxes, max_mean=float(grid[-1]))
     k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
-    lanes = lanes.with_series(cfg_template, hi, (1,))
+    lanes = lanes.with_series(cfg_template, hi)
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = p1_profile(cfg_template, np.stack([c, d], axis=1), lanes).T
     live = np.flatnonzero(hi - lo > LAMBDA_TOL)

@@ -21,6 +21,7 @@ import numpy as np
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_RESOLUTION_CAP = 10
+MAX_SERIES_LENGTH = 4096  # pairs; the engine's arrays grow with it
 
 
 class ParameterError(ValueError):
@@ -114,8 +115,6 @@ class HeraldingStrategy:
     @classmethod
     def up_to(cls, max_accepted: int) -> HeraldingStrategy:
         """Detected counts 1..max_accepted all herald."""
-        if max_accepted < 1:
-            raise ParameterError("max_accepted", f"must be >= 1, got {max_accepted}")
         return cls(accepted=frozenset(range(1, max_accepted + 1)))
 
     @property
@@ -173,7 +172,8 @@ def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL
 
     The series stops once the exact tail is below 0.99 * tail_tol: when
     the exact tail only just meets tail_tol, the rounded float sum can
-    fall an ulp or so short of 1 - tail_tol.
+    fall an ulp or so short of 1 - tail_tol.  A mean whose cutoff would
+    pass ``MAX_SERIES_LENGTH`` raises ``ParameterError``.
     """
     mean = dist.mean
     if mean == 0.0:
@@ -181,22 +181,36 @@ def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL
     tol = 0.99 * tail_tol
     if dist.kind is PairKind.THERMAL:
         ratio = mean / (1.0 + mean)
-        length = max(0, math.ceil(math.log(tol) / math.log(ratio)) - 1)
-        while ratio ** (length + 1) > tol:
+        steps = math.log(tol) / math.log(ratio) if ratio < 1.0 else math.inf
+        length = max(0, math.ceil(min(steps, MAX_SERIES_LENGTH + 2)) - 1)
+        while length <= MAX_SERIES_LENGTH and ratio ** (length + 1) > tol:
             length += 1
-        return length
-    # Poissonian: accumulate with the stable term recurrence
-    target = min(1.0 - tol, 1.0 - 1e-15)
-    hard_cap = int(mean + 40.0 * math.sqrt(mean) + 64.0)
-    term = math.exp(-mean)
-    total = term
-    length = 0
-    while total < target and length < hard_cap:
-        length += 1
-        term *= mean / length
-        total += term
-        if term == 0.0:
-            break
+    elif mean > MAX_SERIES_LENGTH:  # the cutoff passes the mean
+        length = MAX_SERIES_LENGTH + 1
+    else:
+        # the stable term recurrence from exp(-mean) at count 0.  Past a mean of
+        # 700 that factor leaves the normal floats, so it is applied in equal
+        # parts between the recurrence's steps, and the sum starts at the first
+        # count whose term is a normal float (the terms below it are < 1e-305)
+        parts = 2 ** math.ceil(math.log2(max(mean, 700.0) / 700.0))
+        factor, term, length = math.exp(-mean / parts), 1.0, 0
+        while parts:
+            if term * factor >= 1e-305:
+                term, parts = term * factor, parts - 1
+            else:
+                length += 1
+                term *= mean / length
+        target = min(1.0 - tol, 1.0 - 1e-15)
+        hard_cap = min(int(mean + 40.0 * math.sqrt(mean) + 64.0), MAX_SERIES_LENGTH + 1)
+        total = term
+        while total < target and length < hard_cap:
+            length += 1
+            term *= mean / length
+            total += term
+            if term == 0.0:
+                break
+    if length > MAX_SERIES_LENGTH:
+        raise ParameterError("mean", f"must keep its series within {MAX_SERIES_LENGTH} pairs, got {mean}")
     return length
 
 

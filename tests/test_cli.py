@@ -63,6 +63,9 @@ INVALID_DOCUMENTS = {
     "mean-percent": ("evaluate", _edit("mean = 0.45", "mean = 5%"), "source.mean: not a number: '5%'"),
     "mean-infinite": ("evaluate", _edit("mean = 0.45", "mean = inf"), "source.mean: must be finite, got 'inf'"),
     "mean-negative": ("evaluate", _edit("mean = 0.45", "mean = -1"), "source.mean: must be a finite non-negative real, got -1.0"),
+    "mean-past-series-cap": (
+        "evaluate", _edit("mean = 0.45", "mean = 1e6"), "source.mean: must keep its series within 4096 pairs, got 1000000.0"
+    ),
     "mean-twice": (
         "evaluate",
         _edit("mean = 0.45", "mean = 0.45\nmean = 0.5"),

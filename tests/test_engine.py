@@ -70,6 +70,14 @@ class TestDegenerateCases:
         with pytest.raises(ValueError):
             constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon(), tail_tol=1e-3)
 
+    @pytest.mark.parametrize("mean", [745.0, 760.0, 800.0])
+    def test_means_past_the_normal_range_of_exp(self, mean):
+        # exp(-mean) underflows here; few photons survive, so P_0..P_8 are not negligible
+        cfg = constant_loss_config(mean, 0.5, 0.005, 2, HeraldingStrategy.threshold())
+        out = output_distribution(cfg)
+        assert out.probabilities == pytest.approx(closed_form(cfg), abs=1e-10)
+        assert out[0] > 0.01 and out.truncation_deficit < 0.99
+
 
 class TestKnownOperatingPoint:
     def test_sixteen_unit_tree(self):
@@ -364,9 +372,10 @@ class TestInvariants:
         for means in (shared, per_lane):
             profile = p1_profile(cfg, means, profile_lanes(cfg, units, strategies, max_mean=20.0))
             assert profile.shape == (len(units), shared.size)
-            # herald weights made for a larger mean are sliced to the same values
+            # lanes made for a larger mean, re-bounded to these means, are the lanes made for them
+            wide = profile_lanes(cfg, units, strategies, max_mean=20.0).with_series(cfg, np.full(len(units), means.max()))
             exact = p1_profile(cfg, means, profile_lanes(cfg, units, strategies, max_mean=means.max()))
-            assert np.array_equal(profile, exact)
+            assert np.array_equal(p1_profile(cfg, means, wide), exact)
             for n, strategy, lane_means, values in zip(units, strategies, np.broadcast_to(means, profile.shape), profile):
                 for mean, value in zip(lane_means, values):
                     at = replace(cfg, units=n, strategy=strategy, dist=replace(cfg.dist, mean=float(mean)), i_max=1)
@@ -417,7 +426,7 @@ class TestInvariants:
         one_length = p1_profile(cfg, means.ravel(), plain).reshape(len(units), *means.shape)
         want = one_length[np.arange(len(units)), np.arange(len(units))]
         assert p1_profile(cfg, means, plain) == pytest.approx(want, abs=5 * cfg.tail_tol)
-        bounded = plain.with_series(cfg, np.minimum(1.2 * means.max(axis=1), 20.0), (1,))  # as a search fixes it
+        bounded = plain.with_series(cfg, np.minimum(1.2 * means.max(axis=1), 20.0))  # as a search fixes it
         assert p1_profile(cfg, means, bounded) == pytest.approx(want, abs=5 * cfg.tail_tol)
 
     @pytest.mark.parametrize("mux", [MultiplexerModel.symmetric_spatial(0.9), MultiplexerModel.time_chain(0.95, 0.9)])
@@ -428,7 +437,7 @@ class TestInvariants:
         units = [1, 2, 4, 8, 16] * 3
         strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3)] * 5
         means = np.outer(np.geomspace(0.01, 19.5, len(units)), [0.9, 1.0])  # short and ceiling-length series
-        lanes = profile_lanes(cfg, units, strategies, max_mean=20.0).with_series(cfg, np.minimum(1.1 * means[:, 1], 20.0), (1,))
+        lanes = profile_lanes(cfg, units, strategies, max_mean=20.0).with_series(cfg, np.minimum(1.1 * means[:, 1], 20.0))
         assert len(set(lanes.width.tolist())) > 1  # the call sums over more than one width
         together = p1_profile(cfg, means, lanes)
         for lane in range(len(units)):
@@ -437,6 +446,25 @@ class TestInvariants:
         assert np.array_equal(together[shuffled], p1_profile(cfg, means[shuffled], lanes.take(shuffled)))
         with pytest.raises(ValueError):
             p1_profile(cfg, 1.5 * means, lanes)  # beyond the bound the series was fixed for
+
+    @pytest.mark.parametrize("kind", list(PairKind))
+    def test_shared_grid_equals_one_row_per_lane(self, kind):
+        # one series layout: a grid shared by every lane gives what the same grid tiled to one row per lane gives
+        muxes = (
+            MultiplexerModel.symmetric_spatial(0.9),
+            MultiplexerModel.time_chain(0.96, 0.9),
+            MultiplexerModel.binary_bulk_time(0.95, 0.9, 0.99),
+            MultiplexerModel.time_loop_latest(0.9),
+        )
+        kinds = (HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3))
+        units, strategies, lane_muxes = zip(*[(n, strategy, mux) for mux in muxes for n in (1, 2, 8) for strategy in kinds])
+        cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.8), kinds[0], muxes[0], 1)
+        lanes = profile_lanes(cfg, units, strategies, lane_muxes, max_mean=12.0)
+        grid = np.array([0.0, 0.01, 0.4, 1.3, 3.9, 12.0])
+        shared = p1_profile(cfg, grid, lanes, photons=range(5))
+        tiled = p1_profile(cfg, np.tile(grid, (len(units), 1)), lanes, photons=range(5))
+        assert np.abs(shared - tiled).max() <= 1e-15
+        assert shared[1].min() < 0.05 < shared[1].max()
 
     def test_profile_rejects_bad_grid(self):
         cfg = constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon())

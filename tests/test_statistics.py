@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muxsps.statistics import (
+    MAX_SERIES_LENGTH,
     DetectorModel,
     HeraldingStrategy,
     PairDistribution,
@@ -84,6 +85,26 @@ class TestPairPmf:
         dist = PairDistribution(kind, mean)
         l_max = truncation_length(dist, tail_tol)
         assert pmf_array(dist.kind, dist.mean, l_max).sum() >= 1.0 - tail_tol
+
+    @pytest.mark.parametrize("mean", [650.0, 700.0, 708.0, 720.0, 745.0, 760.0, 800.0, 3000.0])
+    @pytest.mark.parametrize("tail_tol", [1e-9, 1e-12])
+    def test_truncation_past_the_normal_range_of_exp(self, mean, tail_tol):
+        # exp(-mean) is subnormal past a mean of about 708 and 0 past 745; the
+        # cutoff still sits where the upper tail, summed from log-space terms,
+        # first drops below the tolerance
+        dist = PairDistribution(PairKind.POISSONIAN, mean)
+        tails = np.cumsum(pmf_array(dist.kind, mean, MAX_SERIES_LENGTH)[::-1])[::-1]  # tails[l]: mass at l and above
+        want = int(np.argmax(tails < 0.99 * tail_tol)) - 1
+        assert abs(truncation_length(dist, tail_tol) - want) <= 1
+
+    @pytest.mark.parametrize(
+        "kind, mean", [(PairKind.POISSONIAN, 3900.0), (PairKind.POISSONIAN, 1e300), (PairKind.THERMAL, 300.0), (PairKind.THERMAL, 1e17)]
+    )
+    def test_truncation_refuses_series_past_the_cap(self, kind, mean):
+        with pytest.raises(ParameterError) as raised:
+            truncation_length(PairDistribution(kind, mean), 1e-12)
+        assert raised.value.name == "mean"
+        assert truncation_length(PairDistribution(kind, 20.0), 1e-12) < MAX_SERIES_LENGTH
 
 
 class TestDetectConditional:
@@ -265,6 +286,12 @@ class TestStrategyValidation:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             HeraldingStrategy(accepted=frozenset({0, 1}))
+
+    def test_up_to_needs_a_count(self):
+        # up_to(0) is the empty set, which the constructor rejects
+        with pytest.raises(ParameterError) as raised:
+            HeraldingStrategy.up_to(0)
+        assert raised.value.name == "accepted"
 
     def test_labels(self):
         assert HeraldingStrategy.threshold().label == "all"
