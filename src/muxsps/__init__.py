@@ -12,13 +12,10 @@ from .engine import (
 from .losses import MultiplexerModel, MuxKind, unit_transmissions
 from .optimize import (
     ComparisonMap,
-    CurvePoint,
     OptimizationResult,
-    StrategyScanResult,
     comparison_map,
     maximize_over_lambda,
     optimize_strategies,
-    optimize_strategy,
     optimize_units,
 )
 from .simulate import SimulationEstimate, simulate
@@ -34,7 +31,6 @@ from .statistics import (
 
 __all__ = [
     "ComparisonMap",
-    "CurvePoint",
     "DEFAULT_I_MAX",
     "DEFAULT_RESOLUTION_CAP",
     "DEFAULT_TAIL_TOL",
@@ -49,12 +45,10 @@ __all__ = [
     "ParameterError",
     "SimulationEstimate",
     "SourceConfig",
-    "StrategyScanResult",
     "closed_form",
     "comparison_map",
     "maximize_over_lambda",
     "optimize_strategies",
-    "optimize_strategy",
     "optimize_units",
     "output_distribution",
     "simulate",

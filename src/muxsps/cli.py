@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, dump_config, flatten_config, format_value, inclusive_range, parse_config
 from .engine import OutputDistribution, SourceConfig, output_distribution
-from .optimize import comparison_map, maximize_over_lambda, optimize_strategies, optimize_strategy, optimize_units, run_tasks
+from .optimize import _cutoffs, comparison_map, maximize_over_lambda, optimize_strategies, optimize_units, run_tasks
 from .simulate import simulate
 from .statistics import PairKind
 
@@ -155,30 +155,30 @@ def _cmd_evaluate(spec: RunSpec) -> int:
 def _cmd_optimize(spec: RunSpec) -> int:
     cfg = spec.cfg
     result = optimize_units(cfg, spec.n_candidates)
+    n_opt, p1_max, lambda_opt = result.n_opt.item(), result.p1_max.item(), result.lambda_opt.item()
     meta = _meta(spec)
-    meta.append(("n_opt", str(result.n_opt)))
-    meta.append(("p1_max", repr(result.p1_max)))
-    meta.append(("lambda_opt", repr(result.lambda_opt)))
-    best_cfg = replace(cfg, units=result.n_opt, dist=replace(cfg.dist, mean=result.lambda_opt))
+    meta.append(("n_opt", str(n_opt)))
+    meta.append(("p1_max", repr(p1_max)))
+    meta.append(("lambda_opt", repr(lambda_opt)))
+    best_cfg = replace(cfg, units=n_opt, dist=replace(cfg.dist, mean=lambda_opt))
     exact = output_distribution(best_cfg)
     meta.append(("p_i_at_optimum", " ".join(repr(p) for p in exact.probabilities)))
     meta.append(("truncation_deficit", repr(exact.truncation_deficit)))
     status = EXIT_OK
     if spec.mc_samples is not None:
         status = _mc_check(best_cfg, exact, spec, meta)
-    rows = [
-        (p.units, p.lambda_opt, p.p1, int(p.units == result.n_opt))
-        for p in result.per_n_curve
-    ]
+    curve = zip(result.units.tolist(), result.lambdas[0].tolist(), result.p1s[0].tolist())
+    rows = [(units, lam, p1, int(units == n_opt)) for units, lam, p1 in curve]
     _emit(spec, ["N", "lambda_opt", "P_1_max", "is_opt"], rows, meta)
     return status
 
 
 def _cmd_strategy_scan(spec: RunSpec) -> int:
-    scan = optimize_strategy(spec.cfg, spec.j_max, spec.n_candidates)
-    j_opt = scan.j_opt
-    meta = [*_meta(spec), ("j_opt", str(j_opt)), ("p1_max", repr(scan.best().p1_max))]
-    rows = [(j, result.n_opt, result.lambda_opt, result.p1_max, int(j == j_opt)) for j, result in scan.results_by_j]
+    result = optimize_strategies(spec.cfg, _cutoffs(spec.cfg, spec.j_max), spec.n_candidates)
+    j_opt = int(np.argmax(result.p1_max)) + 1  # the first maximum: ties go to the smaller cutoff
+    meta = [*_meta(spec), ("j_opt", str(j_opt)), ("p1_max", repr(result.p1_max[j_opt - 1].item()))]
+    optima = zip(result.n_opt.tolist(), result.lambda_opt.tolist(), result.p1_max.tolist())
+    rows = [(j, *optimum, int(j == j_opt)) for j, optimum in enumerate(optima, start=1)]
     _emit(spec, ["J", "N_opt", "lambda_opt", "P_1_max", "is_opt"], rows, meta)
     return EXIT_OK
 
@@ -256,8 +256,9 @@ def _router_row(task: tuple) -> list[tuple]:
     cfg = replace(spec.cfg, detector=replace(spec.cfg.detector, efficiency=vd))
     vrs = spec.sweep.vr_values
     muxes = [replace(cfg.mux, router_transmission=vr) for vr in vrs]
-    results = optimize_strategies(cfg, [cfg.strategy], spec.n_candidates, muxes)
-    return [(vd, vr, r.n_opt, r.p1_max, r.lambda_opt) for vr, r in zip(vrs, results)]
+    result = optimize_strategies(cfg, [cfg.strategy], spec.n_candidates, muxes)
+    optima = zip(vrs, result.n_opt.tolist(), result.p1_max.tolist(), result.lambda_opt.tolist())
+    return [(vd, *optimum) for optimum in optima]
 
 
 def _table_router_grid(spec: RunSpec) -> int:
@@ -267,14 +268,19 @@ def _table_router_grid(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _table_curves(spec: RunSpec) -> int:
+def _curve_rows(spec: RunSpec) -> list[tuple]:
+    """Rows of every swept (N, lambda) pair."""
     cfg = replace(spec.cfg, i_max=1)  # the table reads P_1 alone
-    unit_counts = spec.sweep.n_values or (cfg.units,)
     rows = []
-    for units in unit_counts:
+    for units in spec.sweep.n_values or (cfg.units,):
         for mean in spec.sweep.lambda_values:
             out = output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=mean)))
             rows.append((units, mean, out[1]))
+    return rows
+
+
+def _table_curves(spec: RunSpec) -> int:
+    (rows,) = run_tasks(_curve_rows, [spec], spec.workers)  # one task: in process, --workers checked
     _emit(spec, ["N", "lambda", "P_1"], rows, _meta(spec))
     return EXIT_OK
 
@@ -287,11 +293,12 @@ def _scenario_cell(task: tuple) -> list[tuple]:
     labels, strategies = zip(*(sweep.strategies or [(cfg.strategy.label, cfg.strategy)]))
     if sweep.n_values:  # each row is one (strategy, N) lane
         units = sweep.n_values
-        curve = maximize_over_lambda(cfg, units * len(strategies), [s for s in strategies for _ in units])
+        lam, p1 = maximize_over_lambda(cfg, units * len(strategies), [s for s in strategies for _ in units])
         labels = [label for label in labels for _ in units]
-        optima = [(p.units, p.p1, p.lambda_opt) for p in curve]
+        optima = zip(units * len(strategies), p1.tolist(), lam.tolist())
     else:
-        optima = [(r.n_opt, r.p1_max, r.lambda_opt) for r in optimize_strategies(cfg, strategies, spec.n_candidates)]
+        result = optimize_strategies(cfg, strategies, spec.n_candidates)
+        optima = zip(result.n_opt.tolist(), result.p1_max.tolist(), result.lambda_opt.tolist())
     return [(vd, pair_kind.value, label, *optimum) for label, optimum in zip(labels, optima)]
 
 

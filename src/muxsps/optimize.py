@@ -10,9 +10,12 @@ coarse grid brackets each lane's peak and golden-section refinement then
 runs in lockstep over all lanes, so no unimodality assumption is
 load-bearing.  A unit scan, a cutoff scan, a chunk of comparison-map cells
 sharing one detector efficiency and a row of router-grid table cells are
-each one such search, an ``optimize_strategies`` call.  Results carry the
-optimum, not the output distribution there; ``output_distribution`` gives
-that.
+each one such search, an ``optimize_strategies`` call.  Its result is
+arrays over (multiplexer x strategy group, unit candidate), and every best
+unit count or cutoff is the first maximum that ``np.argmax`` picks, so ties
+go to fewer units and the smaller cutoff.  A map chunk keeps only each
+cell's optima.  Results carry optima, not the output distribution there;
+``output_distribution`` gives that.
 """
 
 from __future__ import annotations
@@ -48,35 +51,21 @@ MAP_CHUNK_CELLS = 12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Best pump strength and single-photon probability at one unit count."""
-
-    units: int
-    lambda_opt: float
-    p1: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    n_opt: int
-    lambda_opt: float
-    p1_max: float
-    strategy_used: HeraldingStrategy
-    per_n_curve: tuple[CurvePoint, ...]
+    """Optima of one lane search, as arrays; row g is (multiplexer, strategy) group g.
 
+    ``lambdas[g, k]`` and ``p1s[g, k]`` are the best pump mean and P_1 of
+    unit candidate ``units[k]``; ``n_opt``, ``lambda_opt`` and ``p1_max`` are
+    each group's optimum over its candidates.
+    """
 
-@dataclass(frozen=True)
-class StrategyScanResult:
-    results_by_j: tuple[tuple[int, OptimizationResult], ...]
-
-    @property
-    def j_opt(self) -> int:
-        """The best cutoff; ties break toward the smaller cutoff."""
-        return max(self.results_by_j, key=lambda item: (item[1].p1_max, -item[0]))[0]
-
-    def best(self) -> OptimizationResult:
-        return dict(self.results_by_j)[self.j_opt]
+    units: np.ndarray
+    lambdas: np.ndarray
+    p1s: np.ndarray
+    n_opt: np.ndarray
+    lambda_opt: np.ndarray
+    p1_max: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +104,8 @@ def maximize_over_lambda(
     units: Sequence[int],
     strategies: Sequence[HeraldingStrategy] | None = None,
     muxes: Sequence[MultiplexerModel] | None = None,
-) -> tuple[CurvePoint, ...]:
-    """Best pump mean and single-photon probability at each lane.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best pump mean and single-photon probability at each lane, as two arrays in lane order.
 
     Lane i is unit count ``units[i]`` heralded with ``strategies[i]``
     behind multiplexer ``muxes[i]`` (default the template's strategy and
@@ -153,8 +142,7 @@ def maximize_over_lambda(
     mid = 0.5 * (lo + hi)
     p1_mid, p1_grid = p1_profile(cfg_template, np.stack([mid, grid[k]], axis=1), lanes).T
     grid_wins = p1_grid > p1_mid
-    lam, p1 = np.where(grid_wins, grid[k], mid), np.where(grid_wins, p1_grid, p1_mid)
-    return tuple(map(CurvePoint, lanes.units.tolist(), lam.tolist(), p1.tolist()))
+    return np.where(grid_wins, grid[k], mid), np.where(grid_wins, p1_grid, p1_mid)
 
 
 def default_unit_candidates(mux: MultiplexerModel, units: int) -> tuple[int, ...]:
@@ -187,37 +175,33 @@ def optimize_strategies(
     strategies: Sequence[HeraldingStrategy],
     n_candidates: Iterable[int] | None = None,
     muxes: Sequence[MultiplexerModel] | None = None,
-) -> tuple[OptimizationResult, ...]:
+) -> OptimizationResult:
     """Best unit count and pump strength for each multiplexer and heralding strategy.
 
     One lockstep pump-mean search covers every (multiplexer, strategy, unit
-    count) lane; results come in (multiplexer, strategy) order.  ``muxes``
-    defaults to the template's own multiplexer; the unit candidates come
-    from the template, so the multiplexers should share its topology.
-    Ties break toward the smaller unit count (less hardware).  The
+    count) lane; the result's groups come in (multiplexer, strategy) order.
+    ``muxes`` defaults to the template's own multiplexer; the unit
+    candidates come from the template, so the multiplexers should share its
+    topology.  Ties break toward the smaller unit count (less hardware).  The
     release-latest loop keeps its configured unit count whatever the
     candidates (see ``default_unit_candidates``).
     """
-    candidates = _unit_candidates(cfg_template, n_candidates)
+    candidates = np.array(_unit_candidates(cfg_template, n_candidates))
     muxes = (cfg_template.mux,) if muxes is None else muxes
-    lanes = [(mux, strategy, n) for mux in muxes for strategy in strategies for n in candidates]
+    lanes = [(mux, strategy, n) for mux in muxes for strategy in strategies for n in candidates.tolist()]
     mux_of, strategy_of, units = zip(*lanes)
-    curve = maximize_over_lambda(cfg_template, units, strategy_of, mux_of)
-    results = []
-    for k, strategy in enumerate(list(strategies) * len(muxes)):
-        per_n = curve[k * len(candidates) : (k + 1) * len(candidates)]
-        best = max(per_n, key=lambda point: point.p1)  # the first maximum: fewest units
-        results.append(OptimizationResult(best.units, best.lambda_opt, best.p1, strategy, per_n))
-    return tuple(results)
+    lambdas, p1s = (x.reshape(-1, candidates.size) for x in maximize_over_lambda(cfg_template, units, strategy_of, mux_of))
+    best = np.argmax(p1s, axis=1)  # the first maximum: ties go to fewer units
+    rows = np.arange(best.size)
+    return OptimizationResult(candidates, lambdas, p1s, candidates[best], lambdas[rows, best], p1s[rows, best])
 
 
 def optimize_units(
     cfg_template: SourceConfig,
     n_candidates: Iterable[int] | None = None,
 ) -> OptimizationResult:
-    """``optimize_strategies`` for the template's own heralding strategy."""
-    (result,) = optimize_strategies(cfg_template, [cfg_template.strategy], n_candidates)
-    return result
+    """``optimize_strategies`` for the template's own heralding strategy: a one-group result."""
+    return optimize_strategies(cfg_template, [cfg_template.strategy], n_candidates)
 
 
 def _cutoffs(cfg_template: SourceConfig, j_max: int) -> list[HeraldingStrategy]:
@@ -226,19 +210,6 @@ def _cutoffs(cfg_template: SourceConfig, j_max: int) -> list[HeraldingStrategy]:
     if not 1 <= j_max <= cap:
         raise ParameterError("j_max", f"must be within [1, resolution_cap={cap}], got {j_max}")
     return [HeraldingStrategy.up_to(j) for j in range(1, j_max + 1)]
-
-
-def optimize_strategy(
-    cfg_template: SourceConfig,
-    j_max: int,
-    n_candidates: Iterable[int] | None = None,
-) -> StrategyScanResult:
-    """``optimize_strategies`` over the accepted-count cutoffs 1..j_max.
-
-    Ties break toward the smaller cutoff, then toward fewer units.
-    """
-    results = optimize_strategies(cfg_template, _cutoffs(cfg_template, j_max), n_candidates)
-    return StrategyScanResult(tuple(enumerate(results, start=1)))
 
 
 def run_tasks(
@@ -268,17 +239,21 @@ def run_tasks(
     return results
 
 
-def _map_chunk(task: tuple) -> list[tuple[OptimizationResult, StrategyScanResult]]:
-    """Threshold optimum and cutoff scan at each (V_D, V_r) cell of a chunk of one V_D row, from one search."""
+def _map_chunk(task: tuple) -> dict[str, np.ndarray]:
+    """``ComparisonMap`` fields at each (V_D, V_r) cell of a chunk of one V_D row, from one search."""
     vd, vrs, j_max, candidates, tail_tol, i_max, resolution_cap = task
     muxes = [MultiplexerModel.symmetric_spatial(vr) for vr in vrs]
     threshold = HeraldingStrategy.threshold()
     detector = DetectorModel(vd, resolution_cap)
     template = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), detector, threshold, muxes[0], 1, tail_tol, i_max)
-    strategies = [threshold, *_cutoffs(template, j_max)]
-    results = optimize_strategies(template, strategies, candidates, muxes)
-    cells = [results[k : k + len(strategies)] for k in range(0, len(results), len(strategies))]
-    return [(cell[0], StrategyScanResult(tuple(enumerate(cell[1:], start=1)))) for cell in cells]
+    result = optimize_strategies(template, [threshold, *_cutoffs(template, j_max)], candidates, muxes)
+    # per cell, group 0 is threshold heralding and group j the cutoff j; cutoff 1 is exactly-one-photon heralding
+    n, lam, p1 = (x.reshape(len(vrs), 1 + j_max) for x in (result.n_opt, result.lambda_opt, result.p1_max))
+    j_opt = np.argmax(p1[:, 1:], axis=1) + 1  # the first maximum: ties go to the smaller cutoff
+    return dict(
+        j_opt=j_opt, p1_spd=p1[:, 1], p1_threshold=p1[:, 0], p1_jopt=p1[np.arange(len(vrs)), j_opt],
+        n_opt_spd=n[:, 1], n_opt_threshold=n[:, 0], lambda_opt_spd=lam[:, 1], lambda_opt_threshold=lam[:, 0],
+    )
 
 
 def comparison_map(
@@ -316,23 +291,6 @@ def comparison_map(
             progress(cell, ends[-1])
 
     chunked = run_tasks(_map_chunk, chunks, workers, None if progress is None else report)
-    results = [cell for chunk in chunked for cell in chunk]
-
-    def grid(values: Iterable, dtype: type = float) -> np.ndarray:
-        return np.array(list(values), dtype=dtype).reshape(axis_vd.size, axis_vr.size)
-
-    threshold = [t for t, _ in results]
-    # the scan's j=1 entry is exactly-one-photon heralding
-    spd = [scan.results_by_j[0][1] for _, scan in results]
-    return ComparisonMap(
-        axis_vd=axis_vd,
-        axis_vr=axis_vr,
-        j_opt=grid((scan.j_opt for _, scan in results), int),
-        p1_spd=grid(r.p1_max for r in spd),
-        p1_threshold=grid(r.p1_max for r in threshold),
-        p1_jopt=grid(scan.best().p1_max for _, scan in results),
-        n_opt_spd=grid((r.n_opt for r in spd), int),
-        n_opt_threshold=grid((r.n_opt for r in threshold), int),
-        lambda_opt_spd=grid(r.lambda_opt for r in spd),
-        lambda_opt_threshold=grid(r.lambda_opt for r in threshold),
-    )
+    shape = (axis_vd.size, axis_vr.size)
+    fields = {name: np.concatenate([chunk[name] for chunk in chunked]).reshape(shape) for name in chunked[0]}
+    return ComparisonMap(axis_vd=axis_vd, axis_vr=axis_vr, **fields)

@@ -20,7 +20,6 @@ from muxsps import (
     PairKind,
     SourceConfig,
     comparison_map,
-    optimize_strategy,
     optimize_units,
     output_distribution,
     closed_form,
@@ -102,28 +101,28 @@ def test_criterion_01_closed_form_equivalence():
 )
 def test_criterion_02_tree_single_photon_optima(eff, router, n_opt, p1_max, lambda_opt):
     result = optimize_units(tree_config(eff, router, SPD))
-    assert result.n_opt == n_opt
-    assert result.p1_max == pytest.approx(p1_max, abs=1e-3)
-    assert result.lambda_opt == pytest.approx(lambda_opt, abs=1e-2)
+    assert result.n_opt[0] == n_opt
+    assert result.p1_max[0] == pytest.approx(p1_max, abs=1e-3)
+    assert result.lambda_opt[0] == pytest.approx(lambda_opt, abs=1e-2)
     report(2, f"tree single-photon optimum ({eff}, {router})")
 
 
 def test_criterion_03_tree_threshold_optima():
     result = optimize_units(tree_config(0.98, 0.95, THRESHOLD))
-    assert result.n_opt == 16
-    assert result.p1_max == pytest.approx(0.735, abs=1e-3)
-    assert result.lambda_opt == pytest.approx(0.246, abs=1e-2)
+    assert result.n_opt[0] == 16
+    assert result.p1_max[0] == pytest.approx(0.735, abs=1e-3)
+    assert result.lambda_opt[0] == pytest.approx(0.246, abs=1e-2)
     result = optimize_units(tree_config(0.30, 0.99, THRESHOLD))
-    assert result.n_opt == 1024
-    assert result.p1_max == pytest.approx(0.890, abs=1e-3)
+    assert result.n_opt[0] == 1024
+    assert result.p1_max[0] == pytest.approx(0.890, abs=1e-3)
     report(3, "tree threshold optima")
 
 
 def test_criterion_04_reference_design_point():
     result = optimize_units(tree_config(0.95, 0.98, SPD))
-    assert result.n_opt == 16
-    assert result.p1_max == pytest.approx(0.90, abs=5e-3)
-    assert result.lambda_opt == pytest.approx(0.45, abs=1e-2)
+    assert result.n_opt[0] == 16
+    assert result.p1_max[0] == pytest.approx(0.90, abs=5e-3)
+    assert result.lambda_opt[0] == pytest.approx(0.45, abs=1e-2)
     report(4, "reference 16-unit design point")
 
 
@@ -136,13 +135,11 @@ def test_criterion_05_heralding_mode_gap_extrema():
 
 
 def test_criterion_06_accepted_set_optimization():
-    scan = optimize_strategy(tree_config(0.90, 0.75, SPD), j_max=4)
-    assert scan.j_opt == 2
-    threshold = optimize_units(tree_config(0.90, 0.75, THRESHOLD))
-    single = dict(scan.results_by_j)[1]
-    assert scan.best().p1_max > max(threshold.p1_max, single.p1_max)
-    scan = optimize_strategy(tree_config(0.98, 0.98, SPD), j_max=3)
-    assert scan.j_opt == 1
+    # a map cell is the tree's threshold optimum and its cutoff scan, of which cutoff 1 is single-photon heralding
+    cell = comparison_map([0.90], [0.75], j_max=4)
+    assert cell.j_opt[0, 0] == 2
+    assert cell.p1_jopt[0, 0] > max(cell.p1_threshold[0, 0], cell.p1_spd[0, 0])
+    assert comparison_map([0.98], [0.98], j_max=3).j_opt[0, 0] == 1
     report(6, "accepted-set cutoff optimization")
 
 
@@ -151,12 +148,12 @@ def test_criterion_07_release_latest_loop_optima():
     # zero-pass release convention (period-end slot leaves without a
     # loop pass)
     spd_40 = optimize_units(loop_config(0.98, 40, SPD, min_cycles=0))
-    assert spd_40.p1_max == pytest.approx(0.852, abs=1e-3)
-    assert spd_40.lambda_opt == pytest.approx(0.706, abs=1e-2)
+    assert spd_40.p1_max[0] == pytest.approx(0.852, abs=1e-3)
+    assert spd_40.lambda_opt[0] == pytest.approx(0.706, abs=1e-2)
     th_40 = optimize_units(loop_config(0.98, 40, THRESHOLD, min_cycles=0))
-    assert th_40.p1_max == pytest.approx(0.778, abs=1e-3)
+    assert th_40.p1_max[0] == pytest.approx(0.778, abs=1e-3)
     low_eff_40 = optimize_units(loop_config(0.60, 40, SPD, min_cycles=0))
-    assert low_eff_40.p1_max == pytest.approx(0.762, abs=1e-3)
+    assert low_eff_40.p1_max[0] == pytest.approx(0.762, abs=1e-3)
 
     # saturation: more slots help by at most one tabulation step
     pairs = [
@@ -169,30 +166,30 @@ def test_criterion_07_release_latest_loop_optima():
         ),
     ]
     for forty, hundred in pairs:
-        gain = hundred.p1_max - forty.p1_max
+        gain = hundred.p1_max[0] - forty.p1_max[0]
         assert -1e-9 <= gain <= 0.0045
     report(7, "release-latest loop optima and saturation")
 
 
 def test_criterion_08_thermal_release_latest_loop():
     low_eff = optimize_units(loop_config(0.60, 40, SPD, kind=PairKind.THERMAL))
-    assert low_eff.p1_max == pytest.approx(0.713, abs=2e-3)
+    assert low_eff.p1_max[0] == pytest.approx(0.713, abs=2e-3)
     high_eff = optimize_units(loop_config(0.98, 100, SPD, kind=PairKind.THERMAL))
-    assert high_eff.p1_max == pytest.approx(0.829, abs=2e-3)
+    assert high_eff.p1_max[0] == pytest.approx(0.829, abs=2e-3)
     report(8, "thermal release-latest loop optima")
 
 
 def test_criterion_09_binary_delay_optima():
     spd = optimize_units(btm_config(0.98, SPD))
-    assert spd.n_opt == 16
-    assert spd.p1_max == pytest.approx(0.907, abs=1e-3)
-    assert spd.lambda_opt == pytest.approx(0.600, abs=1e-2)
+    assert spd.n_opt[0] == 16
+    assert spd.p1_max[0] == pytest.approx(0.907, abs=1e-3)
+    assert spd.lambda_opt[0] == pytest.approx(0.600, abs=1e-2)
     threshold = optimize_units(btm_config(0.98, THRESHOLD))
-    assert threshold.n_opt == 128
-    assert threshold.p1_max == pytest.approx(0.854, abs=1e-3)
+    assert threshold.n_opt[0] == 128
+    assert threshold.p1_max[0] == pytest.approx(0.854, abs=1e-3)
     low_eff = optimize_units(btm_config(0.60, SPD))
-    assert low_eff.n_opt == 128
-    assert low_eff.p1_max == pytest.approx(0.849, abs=1e-3)
+    assert low_eff.n_opt[0] == 128
+    assert low_eff.p1_max[0] == pytest.approx(0.849, abs=1e-3)
     report(9, "binary delay network optima")
 
 

@@ -7,9 +7,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from muxsps import cli
+from muxsps import cli, optimize
 from muxsps.config import PRESETS, RunSpec, dump_config, parse_config
 from muxsps.optimize import LAMBDA_TOL, optimize_units
 from muxsps.simulate import SimulationEstimate
@@ -327,13 +328,17 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, flag, value",
-        [("table", "--workers", "0"), ("table", "--workers", "-2"), ("map", "--workers", "0"),
-         ("evaluate", "--mc-check", "-5"), ("evaluate", "--mc-check", "0"), ("optimize", "--mc-check", "0")],
+        "command, flag, value, sweep",
+        [("table", "--workers", "0", "grid"), ("table", "--workers", "-2", "grid"), ("map", "--workers", "0", "grid"),
+         ("table", "--workers", "0", "curves"), ("table", "--workers", "-3", "curves"),
+         ("evaluate", "--mc-check", "-5", "grid"), ("evaluate", "--mc-check", "0", "grid"),
+         ("optimize", "--mc-check", "0", "grid")],
     )
-    def test_run_flag_below_one_is_2(self, command, flag, value, tmp_path, capsys):
-        # checked by the library function that reads the value (run_tasks, simulate)
-        path = write_config(tmp_path, MINIMAL + "\n[sweep]\nvd_values = 0.9\nvr_values = 0.9,0.95\n")
+    def test_run_flag_below_one_is_2(self, command, flag, value, sweep, tmp_path, capsys):
+        # checked by the library function that reads the value: run_tasks, which every
+        # table kind and the map reach (a lambda_values table as one in-process task), or simulate
+        sweeps = {"grid": "vd_values = 0.9\nvr_values = 0.9,0.95", "curves": "n_values = 1,2\nlambda_values = 0.2,0.4"}
+        path = write_config(tmp_path, _sweep(sweeps[sweep]))
         status, out, err = run_cli([command, "--config", path, flag, value], capsys)
         assert status == 2
         assert out == ""
@@ -443,6 +448,17 @@ class TestStrategyScanCommand:
         assert [row[0] for row in rows] == ["1", "2", "3"]
         assert "# j_opt: 1" in out
 
+    def test_cutoff_ties_go_to_the_smaller_cutoff(self, tmp_path, capsys, monkeypatch):
+        # exact P_1 ties: cutoffs 2 and 3 share the best value, cutoff 3 at fewer units
+        p1 = np.array([[0.6, 0.6], [0.5, 0.8], [0.8, 0.1]])
+        monkeypatch.setattr(optimize, "maximize_over_lambda", lambda *args: (np.arange(p1.size, dtype=float), p1.ravel()))
+        path = write_config(tmp_path, MINIMAL + "\n[optimizer]\nn_candidates = 1,2\nj_max = 3\n")
+        status, out, _ = run_cli(["strategy-scan", "--config", path], capsys)
+        assert status == 0
+        rows = [line for line in out.splitlines() if not line.startswith(("#", "J,"))]
+        assert rows == ["1,1,0.0,0.6,0", "2,2,3.0,0.8,1", "3,1,4.0,0.8,0"]
+        assert "# j_opt: 2\n# p1_max: 0.8\n" in out
+
 
 class TestTableCommand:
     def test_router_grid_byte_identical_reruns(self, tmp_path, capsys):
@@ -507,9 +523,9 @@ strategies = threshold,spd
             else:
                 alone = optimize_units(replace(cfg, units=units), (units,))
             assert row[:3] == [repr(vd), cfg.dist.kind.value, token]
-            assert int(row[3]) == alone.n_opt
-            assert float(row[4]) == pytest.approx(alone.p1_max, abs=1e-12)
-            assert float(row[5]) == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
+            assert int(row[3]) == alone.n_opt[0]
+            assert float(row[4]) == pytest.approx(alone.p1_max[0], abs=1e-12)
+            assert float(row[5]) == pytest.approx(alone.lambda_opt[0], abs=LAMBDA_TOL)
 
     def test_curve_family(self, tmp_path, capsys):
         config = MINIMAL + "\n[sweep]\nn_values = 1,2\nlambda_values = 0.2,0.4\n"

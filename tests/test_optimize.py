@@ -12,13 +12,10 @@ from muxsps.losses import MultiplexerModel
 from muxsps.optimize import (
     LAMBDA_MAX,
     LAMBDA_TOL,
-    OptimizationResult,
-    StrategyScanResult,
     comparison_map,
     default_unit_candidates,
     maximize_over_lambda,
     optimize_strategies,
-    optimize_strategy,
     optimize_units,
 )
 from muxsps.statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind, ParameterError
@@ -39,15 +36,13 @@ class TestMaximizeOverLambda:
     def test_single_lossless_unit(self):
         # P_1 = mean * exp(-mean): peak at mean 1, value 1/e
         cfg = tree_template(1.0, 1.0, HeraldingStrategy.single_photon())
-        (point,) = maximize_over_lambda(cfg, [1])
-        assert point.units == 1
-        assert point.lambda_opt == pytest.approx(1.0, abs=1e-3)
-        assert point.p1 == pytest.approx(math.exp(-1.0), abs=1e-7)
+        (lam,), (p1,) = maximize_over_lambda(cfg, [1])
+        assert lam == pytest.approx(1.0, abs=1e-3)
+        assert p1 == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def test_local_maximality(self):
         cfg = tree_template(0.9, 0.95, HeraldingStrategy.single_photon())
-        (point,) = maximize_over_lambda(cfg, [8])
-        lam, p1 = point.lambda_opt, point.p1
+        (lam,), (p1,) = maximize_over_lambda(cfg, [8])
         left = output_distribution_at(cfg, 8, lam - 1e-3)
         right = output_distribution_at(cfg, 8, lam + 1e-3)
         assert p1 >= left - 1e-9
@@ -71,12 +66,12 @@ class TestMaximizeOverLambda:
     )
     def test_lanes_match_scalar_search(self, mux, lanes, strategy, kind):
         cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.85), strategy, mux, 1)
-        curve = maximize_over_lambda(cfg, lanes)
-        assert [point.units for point in curve] == list(lanes)
-        for point in curve:
-            lam, p1 = scalar_maximize_over_lambda(cfg, point.units)
-            assert point.p1 == pytest.approx(p1, abs=1e-10), point.units
-            assert point.lambda_opt == pytest.approx(lam, abs=LAMBDA_TOL), point.units
+        lams, p1s = maximize_over_lambda(cfg, lanes)
+        assert lams.shape == p1s.shape == (len(lanes),)
+        for units, lam_lane, p1_lane in zip(lanes, lams, p1s):
+            lam, p1 = scalar_maximize_over_lambda(cfg, units)
+            assert p1_lane == pytest.approx(p1, abs=1e-10), units
+            assert lam_lane == pytest.approx(lam, abs=LAMBDA_TOL), units
 
 
 def output_distribution_at(cfg, units, mean):
@@ -89,16 +84,17 @@ class TestOptimizeUnits:
     def test_curve_covers_candidates_in_order(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
         result = optimize_units(cfg, n_candidates=[16, 1, 4])
-        assert [p.units for p in result.per_n_curve] == [1, 4, 16]
-        assert result.p1_max == max(p.p1 for p in result.per_n_curve)
-        assert result.n_opt in {1, 4, 16}
+        assert result.units.tolist() == [1, 4, 16]
+        assert result.lambdas.shape == result.p1s.shape == (1, 3)  # one group: the template's strategy
+        assert result.p1_max[0] == result.p1s[0].max()
+        assert result.n_opt[0] in {1, 4, 16}
+        assert result.lambda_opt[0] == result.lambdas[0, result.units.tolist().index(result.n_opt[0])]
 
     def test_output_at_optimum_consistent(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
         result = optimize_units(cfg, n_candidates=[1, 2, 4, 8])
-        at_best = output_distribution_at(cfg, result.n_opt, result.lambda_opt)
-        assert at_best == pytest.approx(result.p1_max, rel=1e-12)
-        assert result.strategy_used == cfg.strategy
+        at_best = output_distribution_at(cfg, int(result.n_opt[0]), float(result.lambda_opt[0]))
+        assert at_best == pytest.approx(result.p1_max[0], rel=1e-12)
 
     def test_release_latest_loop_keeps_fixed_units(self):
         cfg = SourceConfig(
@@ -109,8 +105,8 @@ class TestOptimizeUnits:
             40,
         )
         result = optimize_units(cfg, n_candidates=[1, 2, 4])  # ignored for this topology
-        assert result.n_opt == 40
-        assert len(result.per_n_curve) == 1
+        assert result.n_opt.tolist() == [40]
+        assert result.units.tolist() == [40]
 
     def test_default_candidates_per_topology(self):
         tree = MultiplexerModel.symmetric_spatial(0.9)
@@ -133,9 +129,9 @@ class TestOptimizeUnits:
     def test_known_tree_optimum(self):
         cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
         result = optimize_units(cfg)
-        assert result.n_opt == 8
-        assert result.p1_max == pytest.approx(0.680, abs=1e-3)
-        assert result.lambda_opt == pytest.approx(0.812, abs=1e-2)
+        assert result.n_opt[0] == 8
+        assert result.p1_max[0] == pytest.approx(0.680, abs=1e-3)
+        assert result.lambda_opt[0] == pytest.approx(0.812, abs=1e-2)
 
 
 class TestOptimizeStrategies:
@@ -150,36 +146,45 @@ class TestOptimizeStrategies:
     def test_each_strategy_matches_its_own_unit_scan(self, mux, units, candidates):
         strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.single_photon(), HeraldingStrategy.up_to(3)]
         cfg = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), DetectorModel(0.85), strategies[1], mux, units)
-        results = optimize_strategies(cfg, strategies, candidates)
-        assert [result.strategy_used for result in results] == strategies
-        for result in results:
-            alone = optimize_units(replace(cfg, strategy=result.strategy_used), candidates)
-            assert result.n_opt == alone.n_opt
-            assert result.p1_max == pytest.approx(alone.p1_max, abs=1e-12)
-            assert result.lambda_opt == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
-            assert [p.units for p in result.per_n_curve] == [p.units for p in alone.per_n_curve]
+        result = optimize_strategies(cfg, strategies, candidates)
+        assert result.p1s.shape == (len(strategies), result.units.size)
+        for g, strategy in enumerate(strategies):
+            alone = optimize_units(replace(cfg, strategy=strategy), candidates)
+            assert result.units.tolist() == alone.units.tolist()
+            assert result.n_opt[g] == alone.n_opt[0]
+            assert result.p1_max[g] == pytest.approx(alone.p1_max[0], abs=1e-12)
+            assert result.lambda_opt[g] == pytest.approx(alone.lambda_opt[0], abs=LAMBDA_TOL)
 
 
-class TestOptimizeStrategy:
-    def test_j_opt_ties_go_to_the_smaller_cutoff(self):
-        def result(j, p1):
-            return OptimizationResult(1, 0.5, p1, HeraldingStrategy.up_to(j), ())
+class TestCutoffScan:
+    def test_exact_ties_go_to_fewer_units_and_the_smaller_cutoff(self, monkeypatch):
+        # lanes in (threshold, cutoff 1, 2, 3) x candidates (1, 2, 4) order, with exact P_1 ties
+        # within a group and between cutoffs 2 and 3; each lane's pump mean is its lane index
+        p1 = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.6], [0.5, 0.8, 0.8], [0.8, 0.1, 0.8]])
 
-        scan = StrategyScanResult(((1, result(1, 0.5)), (2, result(2, 0.7)), (3, result(3, 0.7))))
-        assert scan.j_opt == 2
-        assert scan.best() is scan.results_by_j[1][1]
-        assert StrategyScanResult(scan.results_by_j[::-1]).j_opt == 2
+        def fixed_search(cfg_template, units, strategies=None, muxes=None):
+            assert len(units) == p1.size
+            return np.arange(p1.size, dtype=float), p1.ravel()
+
+        monkeypatch.setattr(optimize, "maximize_over_lambda", fixed_search)
+        cfg = tree_template(0.9, 0.9, HeraldingStrategy.threshold())
+        strategies = [HeraldingStrategy.threshold(), *(HeraldingStrategy.up_to(j) for j in (1, 2, 3))]
+        result = optimize_strategies(cfg, strategies, [4, 1, 2])
+        assert result.n_opt.tolist() == [2, 1, 2, 1]
+        assert result.lambda_opt.tolist() == [1.0, 3.0, 7.0, 9.0]
+        assert result.p1_max.tolist() == [0.7, 0.6, 0.8, 0.8]
+        cell = comparison_map([0.9], [0.9], j_max=3, n_candidates=[1, 2, 4])
+        assert (cell.n_opt_threshold[0, 0], cell.n_opt_spd[0, 0], cell.j_opt[0, 0]) == (2, 1, 2)
+        assert (cell.lambda_opt_threshold[0, 0], cell.lambda_opt_spd[0, 0]) == (1.0, 3.0)
+        assert (cell.p1_threshold[0, 0], cell.p1_spd[0, 0], cell.p1_jopt[0, 0]) == (0.7, 0.6, 0.8)
 
     def test_lossless_routers_prefer_single_photon(self):
-        cfg = tree_template(0.98, 1.0, HeraldingStrategy.single_photon())
-        scan = optimize_strategy(cfg, j_max=3, n_candidates=[1, 2, 4, 8])
-        assert scan.j_opt == 1
+        cell = comparison_map([0.98], [1.0], j_max=3, n_candidates=[1, 2, 4, 8])
+        assert cell.j_opt[0, 0] == 1
 
     def test_scan_never_below_single_photon_case(self):
-        cfg = tree_template(0.9, 0.75, HeraldingStrategy.single_photon())
-        scan = optimize_strategy(cfg, j_max=4)
-        by_j = dict(scan.results_by_j)
-        assert scan.best().p1_max >= by_j[1].p1_max - 1e-12
+        cell = comparison_map([0.9], [0.75], j_max=4)
+        assert cell.p1_jopt[0, 0] >= cell.p1_spd[0, 0] - 1e-12
 
     @pytest.mark.parametrize("kind", list(PairKind))
     @pytest.mark.parametrize(
@@ -195,21 +200,15 @@ class TestOptimizeStrategy:
         # one lockstep search over every (cutoff, unit count) lane gives each
         # cutoff what a search over its unit counts alone gives
         cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.85), HeraldingStrategy.threshold(), mux, 1)
-        scan = optimize_strategy(cfg, j_max=4, n_candidates=lanes)
-        assert [j for j, _ in scan.results_by_j] == [1, 2, 3, 4]
-        for j, result in scan.results_by_j:
-            alone = optimize_units(replace(cfg, strategy=HeraldingStrategy.up_to(j)), lanes)
-            assert result.strategy_used == HeraldingStrategy.up_to(j)
-            assert result.n_opt == alone.n_opt, j
-            assert result.p1_max == pytest.approx(alone.p1_max, abs=1e-10), j
-            assert result.lambda_opt == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL), j
-            assert [p.units for p in result.per_n_curve] == list(lanes)
-        assert scan.best().p1_max == max(result.p1_max for _, result in scan.results_by_j)
-
-    def test_j_max_capped_by_resolution(self):
-        cfg = tree_template(0.9, 0.9, HeraldingStrategy.single_photon())
-        with pytest.raises(ValueError):
-            optimize_strategy(cfg, j_max=99)
+        cutoffs = [HeraldingStrategy.up_to(j) for j in range(1, 5)]
+        result = optimize_strategies(cfg, cutoffs, lanes)
+        assert result.units.tolist() == list(lanes)
+        assert result.p1s.shape == (len(cutoffs), len(lanes))
+        for g, cutoff in enumerate(cutoffs):
+            alone = optimize_units(replace(cfg, strategy=cutoff), lanes)
+            assert result.n_opt[g] == alone.n_opt[0], cutoff
+            assert result.p1_max[g] == pytest.approx(alone.p1_max[0], abs=1e-10), cutoff
+            assert result.lambda_opt[g] == pytest.approx(alone.lambda_opt[0], abs=LAMBDA_TOL), cutoff
 
 
 class TestComparisonMap:
@@ -235,6 +234,8 @@ class TestComparisonMap:
             (0.68, 0.96, 32, 0.7704833290171145, 64, 0.7447719487785176, 1, 0.7704833290171145),
             (0.77, 0.92, 16, 0.6772046511890977, 16, 0.6431081081093665, 1, 0.6772046511890977),
             (0.62, 0.91, 16, 0.6282011500375836, 16, 0.6050601925320145, 1, 0.6282011500375836),
+            # P_1 rounds to exactly 1.0 at every N >= 128 here, so the first maximum is N = 128
+            (1.00, 1.00, 128, 1.0, 1024, 0.9957951606805827, 1, 1.0),
         ],
     )
     def test_pinned_ssm_map_cells(self, vd, vr, n_spd, p1_spd, n_threshold, p1_threshold, j_opt, p1_jopt):
@@ -257,9 +258,9 @@ class TestComparisonMap:
             for b, vr in enumerate(vrs):
                 for strategy, n_opt, p1, lambda_opt in entries:
                     alone = optimize_units(tree_template(vd, vr, strategy), candidates)
-                    assert n_opt[a, b] == alone.n_opt
-                    assert p1[a, b] == pytest.approx(alone.p1_max, abs=1e-12)
-                    assert lambda_opt[a, b] == pytest.approx(alone.lambda_opt, abs=LAMBDA_TOL)
+                    assert n_opt[a, b] == alone.n_opt[0]
+                    assert p1[a, b] == pytest.approx(alone.p1_max[0], abs=1e-12)
+                    assert lambda_opt[a, b] == pytest.approx(alone.lambda_opt[0], abs=LAMBDA_TOL)
 
     def test_bad_j_max_fails_before_any_search(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -277,12 +278,12 @@ class TestComparisonMap:
 
         def alone(vr):
             template = replace(tree_template(vd, vr, HeraldingStrategy.threshold()), tail_tol=1e-12)
-            threshold, spd, up_to_2 = optimize_strategies(template, strategies, candidates)
-            best = max((up_to_2, spd), key=lambda r: r.p1_max)  # ties go to the smaller cutoff
+            r = optimize_strategies(template, strategies, candidates)
+            j_opt = 2 if r.p1_max[2] > r.p1_max[1] else 1  # ties go to the smaller cutoff
             return dict(
-                n_opt_threshold=threshold.n_opt, p1_threshold=threshold.p1_max, lambda_opt_threshold=threshold.lambda_opt,
-                n_opt_spd=spd.n_opt, p1_spd=spd.p1_max, lambda_opt_spd=spd.lambda_opt,
-                j_opt=1 if best is spd else 2, p1_jopt=best.p1_max,
+                n_opt_threshold=r.n_opt[0], p1_threshold=r.p1_max[0], lambda_opt_threshold=r.lambda_opt[0],
+                n_opt_spd=r.n_opt[1], p1_spd=r.p1_max[1], lambda_opt_spd=r.lambda_opt[1],
+                j_opt=j_opt, p1_jopt=r.p1_max[j_opt],
             )
 
         def cells(workers, progress=None):
