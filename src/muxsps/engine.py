@@ -130,8 +130,9 @@ class ProfileLanes:
     ``transmissions[tx]``.  Each lane carries its own series: its means stay
     within ``bound`` and it sums ``width`` terms.  ``tables`` caches, per
     tuple of photon numbers, each herald-weight row times the survivor
-    polynomial of each transmission; every lane set made from these lanes
-    shares it.
+    polynomial of each transmission, and, per (offset, photon numbers), the
+    survivor polynomials of a many-transmission lane's units; every lane set
+    made from these lanes shares it.
     """
 
     units: np.ndarray
@@ -340,9 +341,11 @@ def p1_profile(
         pairs = pmf_array(cfg.dist.kind, means if shared else means[many], lanes.width[many].max() - 1)
     for start in sorted(set(lanes.offsets[many].tolist())):
         group = np.flatnonzero(lanes.offsets[many] == start)
-        n, size = int(lanes.units[many[group[0]]]), int(lanes.width[many[group]].max())
-        comb, ls = binomial_coefficients(max(wanted), size - 1), np.arange(size)
-        polys = [_survivor_polynomial(lanes.joined[start : start + n], i, comb[i, i:], ls[: max(size - i, 0)]).T for i in wanted]
+        n, size = int(lanes.units[many[group[0]]]), lanes.length + 1
+        if (start, wanted) not in lanes.tables:  # [l - i, unit] for l up to the lanes' length; each lane slices its width
+            comb, v = binomial_coefficients(max(wanted), size - 1), lanes.joined[start : start + n]
+            lanes.tables[start, wanted] = [_survivor_polynomial(v, i, comb[i, i:], np.arange(size - i)).T for i in wanted]
+        polys = lanes.tables[start, wanted]
         for j in group:  # lane by lane, so no temporary outgrows one lane's (means, units)
             lane, w = many[j], lanes.width[many[j]]
             mass = (pairs if shared else pairs[j])[:, :w] * lanes.weights[lanes.row[lane], :w]

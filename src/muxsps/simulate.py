@@ -9,11 +9,14 @@ A key physical constraint encoded here: survivors are drawn from the l
 generated signal photons, not from the detected idler count; detector
 efficiency acts only on the idler arm.
 
-Each visited unit draws one uniform u and heralds iff u < P_h, its herald
-probability; only a heralded u picks the unit's pair number l, weighted by
-P(l) P(herald | l), by inverse CDF with a guide table over [0, P_h)
-(Chen's method).  l runs until the pair tail left out, which reads as no
-herald, is below 2**-60, under a uniform's 2**-53 resolution.
+Every unit shares the pump and detector, so each heralds with the same
+probability P_h, and the first heralding unit in priority order is
+geometric: one uniform per pulse finds it by inversion.  A heralded pulse
+then draws its pair number l, weighted by P(l) P(herald | l), by inverse
+CDF with a guide table over [0, P_h) (Chen's method), and each of its l
+signal photons survives that unit's path with one uniform.  l runs until
+the pair tail left out, which reads as no herald, is below 2**-60, under a
+uniform's 2**-53 resolution.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .losses import unit_transmissions
 from .statistics import HeraldingStrategy, PairDistribution, PairKind, ParameterError
 
 # fixed sampling block size: partial histograms merge associatively, so the
-# result is independent of how blocks are distributed over workers
-BLOCK_SIZE = 1 << 16
+# result is independent of how blocks are distributed over workers; a block
+# this small keeps its per-photon arrays to a few hundred kB
+BLOCK_SIZE = 1 << 14
 # log of the pair tail a state table may leave out: 2**-60
 _LOG_TAIL = -60.0 * math.log(2.0)
 
@@ -49,12 +53,6 @@ class SimulationEstimate:
         if self.std_err[i] > 0.0:
             return diff / self.std_err[i]
         return 0.0 if diff == 0.0 else math.inf
-
-
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # one PCG64 stream per (seed, block), so streams are reproducible no
-    # matter which worker consumes which block
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
 
 
 def _pair_pmf(dist: PairDistribution) -> np.ndarray:
@@ -107,20 +105,41 @@ def _states(cfg: SourceConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarra
 
 def _draw_states(u: np.ndarray, p_h: float, cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """Heralding state index of each uniform u < p_h: inverse CDF with Chen's guide table."""
-    index = guide[np.minimum((u * (guide.size / p_h)).astype(np.intp), guide.size - 1)]
+    # u / p_h first: guide.size / p_h overflows for a subnormal p_h
+    index = guide[np.minimum((u / p_h * guide.size).astype(np.intp), guide.size - 1)]
     index += cdf[index] <= u  # one step settles nearly every draw
     late = np.flatnonzero(cdf[index] <= u)
     index[late] = np.searchsorted(cdf, u[late], side="right")
     return index
 
 
+def _state_uniforms(r: np.ndarray, p_h: float) -> np.ndarray:
+    """Uniforms r on [0, 1) scaled into [0, p_h); for a subnormal p_h, (1 - 2**-53) p_h rounds up to p_h."""
+    return np.minimum(r * p_h, np.nextafter(p_h, 0.0))
+
+
+def _first_heralds(u: np.ndarray, p_h: float, units: int) -> np.ndarray:
+    """First heralding unit, from 0, of each pulse whose uniform u heralds within ``units`` units.
+
+    Units herald with probability p_h each, so the first is floor(log(1 - u) / log(1 - p_h)),
+    below ``units`` iff log(1 - u) > units log(1 - p_h).  Only heralded pulses divide, so a tiny
+    p_h cannot overflow; rounding is clipped to the last unit.
+    """
+    log_miss = math.log1p(-p_h) if p_h < 1.0 else -math.inf
+    log_u = np.negative(u)
+    np.log1p(log_u, out=log_u)
+    log_u = log_u[np.flatnonzero(log_u > units * log_miss)]  # integer indices: a random boolean mask indexes slower
+    log_u /= log_miss
+    return np.minimum(np.floor(log_u, out=log_u), units - 1, out=log_u).astype(np.intp)
+
+
 def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
     """Sample ``samples`` pulse periods of the configured source.
 
-    Each sample walks the units in priority order, one uniform per unit: on
-    the first herald, look up that unit's pair number and draw the surviving
-    signal photons.  Pulses with no herald contribute to the zero-photon bin.
-    Identical (cfg, samples, seed) always produce the identical histogram.
+    Each block of ``BLOCK_SIZE`` pulses finds every pulse's first heralding
+    unit; pulses with no herald count as zero photons, and heralded pulses
+    draw their pair number, then their survivors.  Identical (cfg, samples,
+    seed) always produce the identical histogram.
     """
     if samples < 1:
         raise ParameterError("samples", f"must be >= 1, got {samples}")
@@ -129,32 +148,19 @@ def simulate(cfg: SourceConfig, samples: int, seed: int) -> SimulationEstimate:
     transmissions = unit_transmissions(cfg.mux, cfg.units)
     p_h, cdf, guide, pairs = _states(cfg)
 
-    counts = np.zeros(cfg.i_max + 1, dtype=np.int64)
-    n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for block in range(n_blocks):
+    counts = np.zeros(max(cfg.i_max, int(pairs.max(initial=0))) + 1, dtype=np.int64)
+    for block in range(-(-samples // BLOCK_SIZE)):
         block_samples = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
-        rng = _block_rng(seed, block)
-        emitted = np.zeros(block_samples, dtype=np.int64)
-        active = np.arange(block_samples)
-        for n in range(1, cfg.units + 1):
-            if active.size == 0:
-                break
-            u = rng.random(active.size)
-            hit = np.flatnonzero(u < p_h)  # integer indices: a random boolean mask indexes slower
-            if hit.size:
-                drawn = _draw_states(u[hit], p_h, cdf, guide)
-                emitted[active[hit]] = rng.binomial(pairs[drawn], transmissions[n - 1])
-            active = active[np.flatnonzero(u >= p_h)]
-        block_counts = np.bincount(emitted)
-        if block_counts.size > counts.size:
-            counts = np.concatenate([counts, np.zeros(block_counts.size - counts.size, dtype=np.int64)])
-        counts[: block_counts.size] += block_counts
+        # one PCG64 stream per (seed, block), whichever worker consumes the block
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+        first = _first_heralds(rng.random(block_samples), p_h, cfg.units)
+        counts[0] += block_samples - first.size
+        l = pairs[_draw_states(_state_uniforms(rng.random(first.size), p_h), p_h, cdf, guide)]
+        alive = rng.random(l.sum()) < np.repeat(transmissions[first], l)
+        survivors = np.diff(np.cumsum(alive, dtype=np.int32)[np.cumsum(l) - 1], prepend=0)  # every state has l >= 1
+        counts += np.bincount(survivors, minlength=counts.size)
+    counts = counts[: max(cfg.i_max, np.flatnonzero(counts)[-1]) + 1]
 
     p_hat = counts / samples
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return SimulationEstimate(
-        counts=tuple(int(c) for c in counts),
-        samples=samples,
-        p_hat=tuple(float(p) for p in p_hat),
-        std_err=tuple(float(s) for s in std_err),
-    )
+    return SimulationEstimate(tuple(counts.tolist()), samples, tuple(p_hat.tolist()), tuple(std_err.tolist()))

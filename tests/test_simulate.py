@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from muxsps.engine import SourceConfig, output_distribution
+from muxsps.engine import SourceConfig, closed_form, output_distribution
 from muxsps.losses import MultiplexerModel
 from muxsps.simulate import BLOCK_SIZE, SimulationEstimate, simulate
 from muxsps.statistics import DetectorModel, HeraldingStrategy, PairDistribution, PairKind
@@ -242,3 +242,64 @@ def test_sampler_binds_no_engine_series():
     shared = {"pmf_array", "herald_weights", "binomial_coefficients", "log_factorials", "truncation_length",
               "p1_profile", "output_distribution"}
     assert shared.isdisjoint(vars(sampler))
+
+
+@pytest.mark.parametrize("p_h", [1e-320, 5e-324, 0.3, 1.0, 1.0000000000000002])
+def test_scaled_state_uniform_stays_below_the_herald_probability(p_h):
+    # the largest uniform is 1 - 2**-53; times a subnormal p_h it rounds up to p_h
+    r = np.array([1.0 - 2.0**-53, 0.5, 0.0])
+    assert (r[0] * p_h == p_h) == (p_h < 2.0**-1022)
+    assert (sampler._state_uniforms(r, p_h) < p_h).all()
+
+
+def test_herald_probability_one_heralds_every_pulse_at_the_first_unit():
+    # threshold heralding at V_D = 1 misses only when no pair is made: e**-40 is lost against 1
+    cfg = SourceConfig(
+        PairDistribution(PairKind.POISSONIAN, 40.0),
+        DetectorModel(1.0),
+        HeraldingStrategy.threshold(),
+        MultiplexerModel.time_loop_latest(0.5, generic_transmission=0.05),
+        4,
+    )
+    p_h = sampler._states(cfg)[0]
+    assert p_h >= 1.0
+    u = np.random.default_rng(5).random(100_000)
+    assert np.array_equal(sampler._first_heralds(np.append(u, [0.0, 1.0 - 2.0**-53]), p_h, 4), np.zeros(100_002))
+    # only unit 1's transmission, 1/40, acts on the 40 pairs: P_i = e**-1 / i!
+    est = simulate(cfg, 1_000_000, seed=31)
+    for i, reference in enumerate(closed_form(cfg)[:4]):
+        assert reference == pytest.approx(math.exp(-1.0) / math.factorial(i), rel=1e-3)
+        assert est.sigma(i, reference) <= 4.0
+
+
+def test_subnormal_herald_probability_samples_without_warnings():
+    # pytest turns a RuntimeWarning into an error; an overflow in the unit index
+    # or the guide table's bucket would raise one
+    cfg = tree_config(1e-10, 1e-310, 0.9, 4)
+    p_h, cdf, guide, _ = sampler._states(cfg)
+    assert 0.0 < p_h < 2.0**-1022
+    assert np.array_equal(sampler._first_heralds(np.array([0.0, 0.5, 1.0 - 2.0**-53]), p_h, 4), [0])
+    u = sampler._state_uniforms(np.array([1.0 - 2.0**-53, 0.5, 0.0]), p_h)
+    assert np.array_equal(sampler._draw_states(u, p_h, cdf, guide), np.searchsorted(cdf, u, side="right"))
+    assert simulate(cfg, 100_000, seed=37).counts[0] == 100_000
+
+
+def test_first_heralds_follow_the_geometric_law():
+    # at p = 1/2, u in [0, 1/2) heralds at unit 0, [1/2, 3/4) at 1, [3/4, 7/8) at 2, and the rest not at all
+    u = np.array([0.0, 0.3, 0.5, 0.51, 0.75, 0.875, 0.9])
+    assert sampler._first_heralds(u, 0.5, 3).tolist() == [0, 0, 1, 1, 2]
+    assert sampler._first_heralds(u, 0.0, 3).size == 0
+
+
+def test_long_time_chain_agrees_with_closed_form():
+    # criterion 10's chains stop at 10 units; a 32-unit chain reaches deep priority positions
+    cfg = SourceConfig(
+        PairDistribution(PairKind.POISSONIAN, 0.5),
+        DetectorModel(0.6),
+        HeraldingStrategy.single_photon(),
+        MultiplexerModel.time_chain(0.95, generic_transmission=0.95),
+        32,
+    )
+    est = simulate(cfg, 1_000_000, seed=41)
+    for i, reference in enumerate(closed_form(cfg)[:4]):
+        assert est.sigma(i, reference) <= 4.0
