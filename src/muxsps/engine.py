@@ -195,9 +195,9 @@ def _stepwise(f: Callable, xs: list) -> list:
 def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
     """Pair-count cutoff of a series: one truncation at its largest mean and unit count.
 
-    The tail left out is below ``cfg.tail_tol / max_units``, since the
-    priority sum over units amplifies the truncated herald mass by up to
-    about the unit count.
+    The exact pair tail left out is below ``cfg.tail_tol / max_units`` (about
+    1e-15 at 1,024 units), since the priority sum over units amplifies the
+    truncated herald mass by up to about the unit count.
     """
     return max(1, truncation_length(PairDistribution(cfg.dist.kind, max_mean), cfg.tail_tol / max_units))
 

@@ -48,10 +48,14 @@ class SimulationEstimate:
     std_err: tuple[float, ...]
 
     def sigma(self, i: int, reference: float) -> float:
-        """Deviation of the estimate at count i from a reference, in standard errors."""
+        """Deviation of the estimate at count i from a reference, in standard errors.
+
+        A bin never (or always) drawn has no spread of its own and takes the reference's, sqrt(P (1 - P) / n).
+        """
         diff = abs(self.p_hat[i] - reference)
-        if self.std_err[i] > 0.0:
-            return diff / self.std_err[i]
+        spread = self.std_err[i] or math.sqrt(reference * (1.0 - reference) / self.samples)
+        if spread > 0.0:
+            return diff / spread
         return 0.0 if diff == 0.0 else math.inf
 
 

@@ -166,51 +166,41 @@ def pmf_array(kind: PairKind, means, l_max: int) -> np.ndarray:
 
 
 def truncation_length(dist: PairDistribution, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Pair-count cutoff L with ``pmf_array(dist.kind, dist.mean, L).sum() >= 1 - tail_tol``.
+    """Pair-count cutoff L whose exact pair tail beyond L is at most 0.99 * tail_tol.
 
-    ``tail_tol`` must be > 0, as ``SourceConfig`` ensures.
-
-    The series stops once the exact tail is below 0.99 * tail_tol: when
-    the exact tail only just meets tail_tol, the rounded float sum can
-    fall an ulp or so short of 1 - tail_tol.  A mean whose cutoff would
-    pass ``MAX_SERIES_LENGTH`` raises ``ParameterError``.
+    ``tail_tol`` must be > 0, as ``SourceConfig`` ensures.  L is the least
+    count, found by bisection, at which a log bound of the tail meets that:
+    the exact tail for thermal pairs,
+    and for Poissonian pairs the first term left out over 1 - mean / (L + 2),
+    which bounds the ratio of each later term to the one before.  Both fall
+    as L grows, and the Poissonian bound is at most one count late.  The
+    0.99 margin keeps ``pmf_array(dist.kind, dist.mean, L).sum() >= 1 -
+    tail_tol`` in rounded floats for tolerances down to a few times 1e-13.  A
+    mean whose cutoff would pass ``MAX_SERIES_LENGTH`` raises ``ParameterError``.
     """
     mean = dist.mean
     if mean == 0.0:
         return 0
-    tol = 0.99 * tail_tol
     if dist.kind is PairKind.THERMAL:
-        ratio = mean / (1.0 + mean)
-        steps = math.log(tol) / math.log(ratio) if ratio < 1.0 else math.inf
-        length = max(0, math.ceil(min(steps, MAX_SERIES_LENGTH + 2)) - 1)
-        while length <= MAX_SERIES_LENGTH and ratio ** (length + 1) > tol:
-            length += 1
-    elif mean > MAX_SERIES_LENGTH:  # the cutoff passes the mean
-        length = MAX_SERIES_LENGTH + 1
+
+        def log_tail(length: int) -> float:  # (mean / (1 + mean)) ** (length + 1)
+            return -(length + 1) * math.log1p(1.0 / mean)
+
     else:
-        # the stable term recurrence from exp(-mean) at count 0.  Past a mean of
-        # 700 that factor leaves the normal floats, so it is applied in equal
-        # parts between the recurrence's steps, and the sum starts at the first
-        # count whose term is a normal float (the terms below it are < 1e-305)
-        parts = 2 ** math.ceil(math.log2(max(mean, 700.0) / 700.0))
-        factor, term, length = math.exp(-mean / parts), 1.0, 0
-        while parts:
-            if term * factor >= 1e-305:
-                term, parts = term * factor, parts - 1
-            else:
-                length += 1
-                term *= mean / length
-        target = min(1.0 - tol, 1.0 - 1e-15)
-        hard_cap = min(int(mean + 40.0 * math.sqrt(mean) + 64.0), MAX_SERIES_LENGTH + 1)
-        total = term
-        while total < target and length < hard_cap:
-            length += 1
-            term *= mean / length
-            total += term
-            if term == 0.0:
-                break
-    if length > MAX_SERIES_LENGTH:
+
+        def log_tail(length: int) -> float:  # the geometric bound holds once the term ratio is below 1
+            if length + 2 <= mean:
+                return math.inf
+            log_term = (length + 1) * math.log(mean) - mean - math.lgamma(length + 2)
+            return log_term - math.log1p(-mean / (length + 2))
+
+    log_tol = math.log(0.99 * tail_tol)
+    if log_tail(MAX_SERIES_LENGTH) > log_tol:
         raise ParameterError("mean", f"must keep its series within {MAX_SERIES_LENGTH} pairs, got {mean}")
+    short, length = -1, MAX_SERIES_LENGTH  # the tail bound is met at length, not at short
+    while length - short > 1:
+        mid = (short + length) // 2
+        short, length = (short, mid) if log_tail(mid) <= log_tol else (mid, length)
     return length
 
 

@@ -387,6 +387,13 @@ class TestExitCodes:
         assert status == 0
         assert "# mc_check: samples=200000" in out
 
+    def test_mc_check_passes_with_a_count_never_drawn(self, tmp_path, capsys):
+        # P_3 is 7.3e-8, so a million pulses rarely draw a 3; its bin has no spread of its own
+        text = MINIMAL.replace("0.45", "0.02").replace("0.95", "0.9").replace("16", "4").replace("0.98", "0.9")
+        path = write_config(tmp_path, text)
+        status, out, err = run_cli(["evaluate", "--config", path, "--mc-check", "1000000", "--seed", "1"], capsys)
+        assert status == 0, err
+        assert re.search(r"^# mc_check: samples=1000000 seed=1 max_sigma=\d+\.\d{3} \(i<=3\)$", out, re.M)
 
     @pytest.mark.parametrize("command", ["evaluate", "optimize"])
     @pytest.mark.parametrize("i_max", [1, 2])

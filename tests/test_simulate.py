@@ -103,7 +103,8 @@ def test_threshold_strategy_agrees_with_engine():
 def test_sigma_handles_empty_bins():
     est = SimulationEstimate(counts=(10, 0), samples=10, p_hat=(1.0, 0.0), std_err=(0.0, 0.0))
     assert est.sigma(1, 0.0) == 0.0
-    assert est.sigma(1, 1e-9) == math.inf
+    assert est.sigma(1, 1e-9) == pytest.approx(1e-4)  # the reference's spread, sqrt(1e-9 (1 - 1e-9) / 10)
+    assert est.sigma(0, 0.0) == math.inf
 
 
 def test_rejects_nonpositive_samples():

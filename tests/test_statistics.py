@@ -86,16 +86,27 @@ class TestPairPmf:
         l_max = truncation_length(dist, tail_tol)
         assert pmf_array(dist.kind, dist.mean, l_max).sum() >= 1.0 - tail_tol
 
-    @pytest.mark.parametrize("mean", [650.0, 700.0, 708.0, 720.0, 745.0, 760.0, 800.0, 3000.0])
-    @pytest.mark.parametrize("tail_tol", [1e-9, 1e-12])
-    def test_truncation_past_the_normal_range_of_exp(self, mean, tail_tol):
-        # exp(-mean) is subnormal past a mean of about 708 and 0 past 745; the
-        # cutoff still sits where the upper tail, summed from log-space terms,
-        # first drops below the tolerance
-        dist = PairDistribution(PairKind.POISSONIAN, mean)
-        tails = np.cumsum(pmf_array(dist.kind, mean, MAX_SERIES_LENGTH)[::-1])[::-1]  # tails[l]: mass at l and above
-        want = int(np.argmax(tails < 0.99 * tail_tol)) - 1
-        assert abs(truncation_length(dist, tail_tol) - want) <= 1
+    @pytest.mark.parametrize(
+        "kind, mean",
+        [(kind, mean) for kind in PairKind for mean in (1e-6, 1e-3, 0.05, 0.5, 1.0, 3.7, 12.765, 13.818, 14.592, 15.1026, 20.0)]
+        + [(PairKind.POISSONIAN, mean) for mean in (650.0, 700.0, 708.0, 720.0, 745.0, 760.0, 800.0, 3000.0)],
+    )
+    @pytest.mark.parametrize("tail_tol", [1e-9, 1e-12, 1e-12 / 1024, 1e-18])
+    def test_truncation_past_the_normal_range_of_exp(self, kind, mean, tail_tol):
+        # the cutoff sits at or one past the least L whose upper tail, summed
+        # from log-space terms, is below 0.99 * tail_tol: also where exp(-mean)
+        # is subnormal (past a mean of about 708) or 0 (past 745), and at
+        # tolerances a float running sum cannot resolve (1e-12 / 1024 is a
+        # 1024-unit lane's, and at 12.765 ... 15.1026 such a sum overran or
+        # stopped short)
+        ls = np.arange(MAX_SERIES_LENGTH + 2.0)
+        if kind is PairKind.POISSONIAN:
+            log_terms = ls * math.log(mean) - mean - np.array([math.lgamma(l + 1.0) for l in ls])
+        else:
+            log_terms = ls * math.log(mean / (1.0 + mean)) - math.log1p(mean)
+        log_tails = np.logaddexp.accumulate(log_terms[::-1])[::-1]  # log_tails[l]: mass at l and above
+        least = int(np.argmax(log_tails[1:] < math.log(0.99 * tail_tol)))
+        assert least <= truncation_length(PairDistribution(kind, mean), tail_tol) <= least + 1
 
     @pytest.mark.parametrize(
         "kind, mean", [(PairKind.POISSONIAN, 3900.0), (PairKind.POISSONIAN, 1e300), (PairKind.THERMAL, 300.0), (PairKind.THERMAL, 1e17)]
