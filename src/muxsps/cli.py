@@ -239,17 +239,6 @@ def _cmd_map(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _cmd_table(spec: RunSpec) -> int:
-    sweep = spec.sweep
-    if sweep.vr_values:
-        return _table_router_grid(spec)
-    if sweep.lambda_values:
-        return _table_curves(spec)
-    if sweep.vd_values:
-        return _table_scenarios(spec)
-    raise ConfigError("sweep", "table needs vd_values (+ vr_values / n_values) or lambda_values")
-
-
 def _router_row(task: tuple) -> list[tuple]:
     """Rows of one V_D: every swept V_r, from one lane search."""
     spec, vd = task
@@ -261,28 +250,15 @@ def _router_row(task: tuple) -> list[tuple]:
     return [(vd, *optimum) for optimum in optima]
 
 
-def _table_router_grid(spec: RunSpec) -> int:
-    tasks = [(spec, vd) for vd in spec.sweep.vd_values]
-    cells = run_tasks(_router_row, tasks, spec.workers, _progress("table", len(tasks)))
-    _emit(spec, ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], [row for cell in cells for row in cell], _meta(spec))
-    return EXIT_OK
-
-
-def _curve_rows(spec: RunSpec) -> list[tuple]:
-    """Rows of every swept (N, lambda) pair."""
+def _curve_rows(task: tuple) -> list[tuple]:
+    """Rows of one N: every swept lambda."""
+    spec, units = task
     cfg = replace(spec.cfg, i_max=1)  # the table reads P_1 alone
     rows = []
-    for units in spec.sweep.n_values or (cfg.units,):
-        for mean in spec.sweep.lambda_values:
-            out = output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=mean)))
-            rows.append((units, mean, out[1]))
+    for mean in spec.sweep.lambda_values:
+        out = output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=mean)))
+        rows.append((units, mean, out[1]))
     return rows
-
-
-def _table_curves(spec: RunSpec) -> int:
-    (rows,) = run_tasks(_curve_rows, [spec], spec.workers)  # one task: in process, --workers checked
-    _emit(spec, ["N", "lambda", "P_1"], rows, _meta(spec))
-    return EXIT_OK
 
 
 def _scenario_cell(task: tuple) -> list[tuple]:
@@ -302,12 +278,21 @@ def _scenario_cell(task: tuple) -> list[tuple]:
     return [(vd, pair_kind.value, label, *optimum) for label, optimum in zip(labels, optima)]
 
 
-def _table_scenarios(spec: RunSpec) -> int:
-    pair_kinds = spec.sweep.pair_kinds or (spec.cfg.dist.kind,)
-    tasks = [(spec, vd, pair_kind) for vd in spec.sweep.vd_values for pair_kind in pair_kinds]
-    cells = run_tasks(_scenario_cell, tasks, spec.workers, _progress("table", len(tasks)))
-    rows = [row for cell in cells for row in cell]
-    _emit(spec, ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], rows, _meta(spec))
+def _cmd_table(spec: RunSpec) -> int:
+    sweep, cfg = spec.sweep, spec.cfg
+    if sweep.vr_values:
+        header, fn = ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], _router_row
+        tasks = [(spec, vd) for vd in sweep.vd_values]
+    elif sweep.lambda_values:
+        header, fn = ["N", "lambda", "P_1"], _curve_rows
+        tasks = [(spec, units) for units in sweep.n_values or (cfg.units,)]
+    elif sweep.vd_values:
+        header, fn = ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], _scenario_cell
+        tasks = [(spec, vd, pair_kind) for vd in sweep.vd_values for pair_kind in sweep.pair_kinds or (cfg.dist.kind,)]
+    else:
+        raise ConfigError("sweep", "table needs vd_values (+ vr_values / n_values) or lambda_values")
+    cells = run_tasks(fn, tasks, spec.workers, _progress("table", len(tasks)))
+    _emit(spec, header, [row for cell in cells for row in cell], _meta(spec))
     return EXIT_OK
 
 

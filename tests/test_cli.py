@@ -336,7 +336,7 @@ class TestExitCodes:
     )
     def test_run_flag_below_one_is_2(self, command, flag, value, sweep, tmp_path, capsys):
         # checked by the library function that reads the value: run_tasks, which every
-        # table kind and the map reach (a lambda_values table as one in-process task), or simulate
+        # table kind and the map reach (a lambda_values table as one task per N), or simulate
         sweeps = {"grid": "vd_values = 0.9\nvr_values = 0.9,0.95", "curves": "n_values = 1,2\nlambda_values = 0.2,0.4"}
         path = write_config(tmp_path, _sweep(sweeps[sweep]))
         status, out, err = run_cli([command, "--config", path, flag, value], capsys)
@@ -468,8 +468,14 @@ class TestStrategyScanCommand:
 
 
 class TestTableCommand:
-    def test_router_grid_byte_identical_reruns(self, tmp_path, capsys):
-        config = MINIMAL + "\n[optimizer]\nn_candidates = 1,2,4\n\n[sweep]\nvd_values = 0.9\nvr_values = 0.9,0.95\n"
+    @pytest.mark.parametrize(
+        "sweep",
+        ["vd_values = 0.9\nvr_values = 0.9,0.95", "n_values = 1,2\nlambda_values = 0.2,0.4"],
+        ids=["grid", "curves"],
+    )
+    def test_grid_and_curves_byte_identical_reruns(self, sweep, tmp_path, capsys):
+        # at two workers the curves run their per-N tasks in the process pool; the grid has one V_D task
+        config = MINIMAL + "\n[optimizer]\nn_candidates = 1,2,4\n\n[sweep]\n" + sweep + "\n"
         path = write_config(tmp_path, config)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["table", "--config", path, "--out", str(first), "--workers", "1"], capsys)[0] == 0
