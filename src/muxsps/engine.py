@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,7 +200,13 @@ def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
     1e-15 at 1,024 units), since the priority sum over units amplifies the
     truncated herald mass by up to about the unit count.
     """
-    return max(1, truncation_length(PairDistribution(cfg.dist.kind, max_mean), cfg.tail_tol / max_units))
+    return _cutoff(cfg.dist.kind, cfg.tail_tol, float(max_mean), int(max_units))
+
+
+@lru_cache(maxsize=1024)
+def _cutoff(kind: PairKind, tail_tol: float, max_mean: float, max_units: int) -> int:
+    """``_series_length`` by value: successive searches bracket their lanes at the same coarse-grid means."""
+    return max(1, truncation_length(PairDistribution(kind, max_mean), tail_tol / max_units))
 
 
 def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
@@ -256,14 +263,23 @@ def profile_lanes(
 
 
 def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at: np.ndarray, sums: np.ndarray) -> None:
-    """P_i of lanes whose units share one transmission, in place of ``sums``; ``p[at]`` is a unit's herald probability."""
+    """P_i of lanes whose units share one transmission, in place of ``sums``; ``p[at]`` is a unit's herald probability.
+
+    The priority factor (1 - (1 - p)**units) / p of lanes that share herald
+    rows (a shared means grid) is computed once per distinct (``at``, units).
+    """
     # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
     # keeps it finite at p = 0 (limit: units) and at p = 1
     q = np.minimum(np.maximum(p, _TINY), _BELOW_ONE)
-    geometric = np.log1p(-q)[at]
-    geometric *= units[:, None]
+    row, n, lane = at, units, slice(None)
+    if len(q) < len(at):  # with return_inverse, np.unique does not import numpy.ma
+        key, lane = np.unique(units * len(q) + at, return_inverse=True)
+        n, row = np.divmod(key, len(q))
+    geometric = np.log1p(-q)[row]
+    geometric *= n[:, None]
     np.negative(np.expm1(geometric, out=geometric), out=geometric)
-    geometric /= q[at]
+    geometric /= q[row]
+    geometric = geometric[lane]
     for k, i in enumerate(wanted):
         sums[k] *= geometric
         if i == 0:  # no unit heralds
@@ -293,7 +309,10 @@ def p1_profile(
     polynomial C(l, i) v**i (1 - v)**(l - i) per distinct transmission (per
     multiplexer and unit count for lanes with many transmissions), and the
     priority sum in closed geometric form for a lane whose units all share
-    one transmission.  P_0 also holds the no-herald term miss**units, and
+    one transmission.  With means shared by every lane, such lanes of one
+    width make one matrix product of their survivor rows against the pair
+    pmf, and the priority factor is computed once per (strategy row, unit
+    count).  P_0 also holds the no-herald term miss**units, and
     photon numbers beyond the series are 0.  Each lane sums its own series,
     ``width`` terms for means up to its ``bound`` (see
     ``ProfileLanes.with_series``), so its values do not depend on the other
@@ -324,11 +343,11 @@ def p1_profile(
             sel = np.flatnonzero(widths == w)
             pick, row, start = same[sel], lanes.row[same[sel]], sum(map(len, herald))
             pair = pmf_array(cfg.dist.kind, means if shared else means[pick], w - 1)
-            if shared:  # herald probabilities per strategy row, and matrix-vector products per row and transmission
+            if shared:  # herald probabilities per strategy row, and one matrix product of the lanes' survivor rows
                 herald.append((pair @ lanes.weights[:, :w, None])[..., 0])
                 at[sel] = start + row
                 for k, i in enumerate(wanted):
-                    sums[k, sel] = (pair[:, i:] @ table[k, ..., : max(w - i, 0), None])[row, lanes.tx[pick], :, 0]
+                    sums[k, sel] = table[k, row, lanes.tx[pick], : max(w - i, 0)] @ pair[:, i:].T
             else:  # two row dots per lane
                 herald.append(np.vecdot(pair, lanes.weights[row, None, :w]))
                 at[sel] = start + np.arange(sel.size)

@@ -21,7 +21,6 @@ cell's optima.  Results carry optima, not the output distribution there;
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
@@ -128,17 +127,19 @@ def maximize_over_lambda(
     live = np.flatnonzero(hi - lo > LAMBDA_TOL)
     # the live lanes' brackets (low, high), probes (c, d) and values, dropped as lanes finish
     low, high, c, d, fc, fd = lo[live], hi[live], c[live], d[live], fc[live], fd[live]
+    running = lanes.take(live)
     while live.size:
         left = fc > fd  # lanes keeping the left part of their bracket
         high, low = np.where(left, d, high), np.where(left, low, c)
         step, kept = _INV_PHI * (high - low), np.where(left, fc, fd)
         c, d = np.where(left, high - step, d), np.where(left, c, low + step)
-        f = p1_profile(cfg_template, np.where(left, c, d)[:, None], lanes.take(live))[:, 0]
+        f = p1_profile(cfg_template, np.where(left, c, d)[:, None], running)[:, 0]
         fc, fd = np.where(left, f, kept), np.where(left, kept, f)
         going = high - low > LAMBDA_TOL
         if not going.all():
             lo[live[~going]], hi[live[~going]] = low[~going], high[~going]
             live, low, high, c, d, fc, fd = (x[going] for x in (live, low, high, c, d, fc, fd))
+            running = lanes.take(live)
     mid = 0.5 * (lo + hi)
     p1_mid, p1_grid = p1_profile(cfg_template, np.stack([mid, grid[k]], axis=1), lanes).T
     grid_wins = p1_grid > p1_mid
@@ -230,6 +231,8 @@ def run_tasks(
     with ExitStack() as stack:
         outputs: Iterable = map(fn, tasks)
         if workers is not None and workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here, so in-process runs never import multiprocessing
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             outputs = pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
         for output in outputs:

@@ -470,11 +470,11 @@ class TestStrategyScanCommand:
 class TestTableCommand:
     @pytest.mark.parametrize(
         "sweep",
-        ["vd_values = 0.9\nvr_values = 0.9,0.95", "n_values = 1,2\nlambda_values = 0.2,0.4"],
+        ["vd_values = 0.8,0.9\nvr_values = 0.9,0.95", "n_values = 1,2\nlambda_values = 0.2,0.4"],
         ids=["grid", "curves"],
     )
     def test_grid_and_curves_byte_identical_reruns(self, sweep, tmp_path, capsys):
-        # at two workers the curves run their per-N tasks in the process pool; the grid has one V_D task
+        # at two workers the grid runs its per-V_D tasks and the curves their per-N tasks in the process pool
         config = MINIMAL + "\n[optimizer]\nn_candidates = 1,2,4\n\n[sweep]\n" + sweep + "\n"
         path = write_config(tmp_path, config)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -616,11 +616,25 @@ def test_module_entry_point():
     assert "muxsps" in proc.stdout
 
 
+def _run_python(code, *argv):
+    """``python -c code argv`` in a fresh process that imports this source tree."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
 def test_table_run_leaves_numpy_ma_unimported(tmp_path):
     # a plain np.unique imports numpy.ma, 16-25 ms that every process and pool worker would pay
     code = "import sys; from muxsps.cli import main; status = main(sys.argv[1:]); print(status, 'numpy.ma' in sys.modules)"
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["table", "--preset", "ssm-spd", "--workers", "1", "--out", str(tmp_path / "table.csv")]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    proc = _run_python(code, "table", "--preset", "ssm-spd", "--workers", "1", "--out", str(tmp_path / "table.csv"))
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_import_and_one_worker_run_leave_multiprocessing_unimported():
+    # the process pool's modules load only when run_tasks starts a pool
+    code = (
+        "import sys, muxsps; imported = 'multiprocessing' in sys.modules; "
+        "muxsps.optimize.run_tasks(abs, [1, -2], workers=1); print(imported, 'multiprocessing' in sys.modules)"
+    )
+    proc = _run_python(code)
+    assert proc.stdout == "False False\n", proc.stderr

@@ -389,11 +389,13 @@ class TestInvariants:
              (1, 8)),
             ((MultiplexerModel.time_chain(0.9), MultiplexerModel.time_chain(0.96, 0.9)), (1, 5)),
             ((MultiplexerModel.time_loop_latest(0.9), MultiplexerModel.time_loop_latest(0.95, min_cycles=0)), (1, 6)),
+            # as in a map chunk, several lanes share each (strategy row, unit count) and so its priority factor
+            (tuple(MultiplexerModel.symmetric_spatial(vr) for vr in (0.8, 0.85, 0.9, 0.93, 0.96, 0.99)), (1, 4, 16)),
         ],
-        ids=["tree", "btm", "chain", "loop-latest"],
+        ids=["tree", "btm", "chain", "loop-latest", "six-trees"],
     )
     def test_mixed_multiplexer_lanes_equal_separate_calls(self, muxes, units):
-        # the same unit counts behind two multiplexers: each lane keeps its own transmissions
+        # the same unit counts behind several multiplexers: each lane keeps its own transmissions
         cfg = SourceConfig(
             PairDistribution(PairKind.POISSONIAN, 0.5), DetectorModel(0.8), HeraldingStrategy.threshold(), muxes[0], 1
         )
@@ -402,14 +404,15 @@ class TestInvariants:
         units = list(units) * len(kinds)
         shared = np.array([0.01, 0.4, 1.3, 3.9])
         per_lane = np.outer(np.linspace(0.5, 1.0, len(units)), shared)  # the same rows behind each multiplexer
+        copies = len(muxes)
         for means in (shared, per_lane):
-            both = p1_profile(
+            together = p1_profile(
                 cfg,
-                np.concatenate([means, means]) if means.ndim == 2 else means,
-                profile_lanes(cfg, units * 2, strategies * 2, [mux for mux in muxes for _ in units], max_mean=20.0),
+                np.concatenate([means] * copies) if means.ndim == 2 else means,
+                profile_lanes(cfg, units * copies, strategies * copies, [mux for mux in muxes for _ in units], max_mean=20.0),
                 photons=range(9),
             )
-            for mux, merged in zip(muxes, np.split(both, 2, axis=1)):
+            for mux, merged in zip(muxes, np.split(together, copies, axis=1)):
                 alone = replace(cfg, mux=mux)
                 lanes = profile_lanes(alone, units, strategies, max_mean=20.0)
                 assert np.array_equal(merged, p1_profile(alone, means, lanes, photons=range(9)))

@@ -222,8 +222,9 @@ class TestComparisonMap:
             assert n_opt.dtype.kind == "i" and np.all(n_opt & (n_opt - 1) == 0)
 
     def test_worker_count_does_not_change_results(self):
-        serial = comparison_map([0.9], [0.9, 0.95], j_max=2, workers=1)
-        parallel = comparison_map([0.9], [0.9, 0.95], j_max=2, workers=2)
+        # two V_D rows are two chunk tasks, so two workers start the process pool
+        serial = comparison_map([0.8, 0.9], [0.9, 0.95], j_max=2, workers=1)
+        parallel = comparison_map([0.8, 0.9], [0.9, 0.95], j_max=2, workers=2)
         assert serial.p1_spd == pytest.approx(parallel.p1_spd, abs=0)
         assert serial.p1_threshold == pytest.approx(parallel.p1_threshold, abs=0)
         assert np.array_equal(serial.n_opt_spd, parallel.n_opt_spd)
