@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class SourceConfig:
 
     def __post_init__(self) -> None:
         validate_unit_count(self.mux, self.units)
-        if not 0.0 < self.tail_tol <= 1e-6:
-            raise ParameterError("tail_tol", f"must be in (0, 1e-6], got {self.tail_tol}")
+        if not _TINY <= self.tail_tol <= 1e-6:  # a normal double, so tail_tol / units stays above 0
+            raise ParameterError("tail_tol", f"must be in [{_TINY}, 1e-6], got {self.tail_tol}")
         if self.i_max < 1:
             raise ParameterError("i_max", f"must be >= 1, got {self.i_max}")
         self.strategy.validate_for(self.detector)
@@ -123,17 +123,17 @@ class ProfileLanes:
     """Per-search constants of ``p1_profile``: a lane is a (strategy, multiplexer, unit count).
 
     ``weights`` has one herald-weight row per distinct strategy, as long as
-    the series ``length`` of means up to ``max_mean`` rounded up to whole
-    widths, and ``row`` picks a lane's row; the detector is shared.
-    ``joined`` concatenates the unit transmissions of every distinct
-    (multiplexer, unit count) pair, ``offsets`` holds each lane's start in
-    it, and ``uniform`` marks lanes whose units all share one transmission,
-    ``transmissions[tx]``.  Each lane carries its own series: its means stay
-    within ``bound`` and it sums ``width`` terms.  ``tables`` caches, per
-    tuple of photon numbers, each herald-weight row times the survivor
-    polynomial of each transmission, and, per (offset, photon numbers), the
-    survivor polynomials of a many-transmission lane's units; every lane set
-    made from these lanes shares it.
+    the lanes' first series rounded up to whole widths, and ``row`` picks a
+    lane's row; the detector is shared.  ``joined`` concatenates the unit
+    transmissions of every distinct (multiplexer, unit count) pair,
+    ``offsets`` holds each lane's start in it, and ``uniform`` marks lanes
+    whose units all share one transmission, ``transmissions[tx]``.  Each lane
+    carries its own series: its means stay within ``bound`` and it sums
+    ``width`` terms, never more than the herald weights hold.  ``tables``
+    caches, per tuple of photon numbers, each herald-weight row times the
+    survivor polynomial of each transmission, and, per (offset, photon
+    numbers), the survivor polynomials of a many-transmission lane's units;
+    every lane set made from these lanes shares it.
     """
 
     units: np.ndarray
@@ -146,8 +146,6 @@ class ProfileLanes:
     weights: np.ndarray
     joined: np.ndarray
     transmissions: np.ndarray
-    max_mean: float
-    length: int
     tables: dict = field(default_factory=dict)
 
     def take(self, index: np.ndarray) -> ProfileLanes:
@@ -156,21 +154,18 @@ class ProfileLanes:
         return replace(self, **{name: getattr(self, name)[index] for name in per_lane})
 
     def with_series(self, cfg: SourceConfig, bound: np.ndarray) -> ProfileLanes:
-        """These lanes, each with its series cut for means up to its ``bound`` (at most ``max_mean``).
+        """These lanes, each with its series cut for means up to its ``bound``.
 
-        A lane's series length is ``_series_length`` at its bound and the
-        lanes' largest unit count, at most ``length``.  Lengths grow with the
-        mean, so a few searches find where the rounded widths step.  A lane
-        with many transmissions sums its exact length.
+        A lane's series only gets shorter: each new bound is clipped to the
+        lane's present bound, and each new width to its present width.  A
+        lane sums one term more than ``_series_length`` at its bound and the
+        lanes' largest unit count, rounded up to whole widths if its units
+        share one transmission and exact if it has many.
         """
-        bound, units = np.minimum(np.array(bound, dtype=float), self.max_mean), int(self.units.max())
-
-        def terms(mean: float) -> int:
-            return min(_series_length(cfg, mean, units), self.length) + 1
-
+        bound, kind, units = np.minimum(bound, self.bound), cfg.dist.kind, int(self.units.max())
         means, at = np.unique(bound, return_inverse=True)
-        width = np.array(_stepwise(lambda mean: -(-terms(mean) // _WIDTH) * _WIDTH, means.tolist()))[at]
-        width[~self.uniform] = [terms(mean) for mean in bound[~self.uniform].tolist()]
+        terms = np.array([_series_length(kind, cfg.tail_tol, mean, units) + 1 for mean in means.tolist()])[at]
+        width = np.minimum(np.where(self.uniform, -(-terms // _WIDTH) * _WIDTH, terms), self.width)
         return replace(self, bound=bound, width=width)
 
     def survivors(self, photons: tuple[int, ...]) -> np.ndarray:
@@ -184,28 +179,15 @@ class ProfileLanes:
         return self.tables[photons]
 
 
-def _stepwise(f: Callable, xs: list) -> list:
-    """``[f(x) for x in xs]`` for sorted ``xs`` and a nondecreasing ``f`` of few steps, by bisection."""
-    first, last = f(xs[0]), f(xs[-1])
-    if first == last or len(xs) < 3:
-        return [first] * (len(xs) - 1) + [last]
-    half = len(xs) // 2
-    return _stepwise(f, xs[: half + 1])[:-1] + _stepwise(f, xs[half:])
-
-
-def _series_length(cfg: SourceConfig, max_mean: float, max_units: int) -> int:
+@lru_cache(maxsize=1024)
+def _series_length(kind: PairKind, tail_tol: float, max_mean: float, max_units: int) -> int:
     """Pair-count cutoff of a series: one truncation at its largest mean and unit count.
 
-    The exact pair tail left out is below ``cfg.tail_tol / max_units`` (about
+    The exact pair tail left out is below ``tail_tol / max_units`` (about
     1e-15 at 1,024 units), since the priority sum over units amplifies the
-    truncated herald mass by up to about the unit count.
+    truncated herald mass by up to about the unit count.  Memoized by value:
+    successive searches bound their lanes at the same coarse-grid means.
     """
-    return _cutoff(cfg.dist.kind, cfg.tail_tol, float(max_mean), int(max_units))
-
-
-@lru_cache(maxsize=1024)
-def _cutoff(kind: PairKind, tail_tol: float, max_mean: float, max_units: int) -> int:
-    """``_series_length`` by value: successive searches bracket their lanes at the same coarse-grid means."""
     return max(1, truncation_length(PairDistribution(kind, max_mean), tail_tol / max_units))
 
 
@@ -234,7 +216,7 @@ def profile_lanes(
     smaller mean and unit count too) rounded up to whole widths.  Every lane
     gets that series: bounded by ``max_mean``, and summing its length plus
     one terms, rounded up to whole widths if its units share one
-    transmission.
+    transmission.  ``ProfileLanes.with_series`` can only shorten it.
     """
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
@@ -244,7 +226,7 @@ def profile_lanes(
     distinct, row = _distinct(strategies)
     for strategy in distinct:
         strategy.validate_for(cfg.detector)
-    length = _series_length(cfg, max_mean, int(units.max()))
+    length = _series_length(cfg.dist.kind, cfg.tail_tol, float(max_mean), int(units.max()))
     models, model = _distinct(muxes)
     keys = list(zip(model.tolist(), units.tolist()))
     which = {key: k for k, key in enumerate(dict.fromkeys(keys))}
@@ -259,7 +241,7 @@ def profile_lanes(
     weights = np.array([herald_weights(s, cfg.detector, size - 1) for s in distinct])
     width = np.where(uniform[lane_key], size, length + 1)
     per_lane = (units, row, starts[lane_key], uniform[lane_key], tx[lane_key], np.full(units.size, float(max_mean)), width)
-    return ProfileLanes(*per_lane, weights, joined, transmissions, float(max_mean), length)
+    return ProfileLanes(*per_lane, weights, joined, transmissions)
 
 
 def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at: np.ndarray, sums: np.ndarray) -> None:
@@ -360,8 +342,8 @@ def p1_profile(
         pairs = pmf_array(cfg.dist.kind, means if shared else means[many], lanes.width[many].max() - 1)
     for start in sorted(set(lanes.offsets[many].tolist())):
         group = np.flatnonzero(lanes.offsets[many] == start)
-        n, size = int(lanes.units[many[group[0]]]), lanes.length + 1
-        if (start, wanted) not in lanes.tables:  # [l - i, unit] for l up to the lanes' length; each lane slices its width
+        n, size = int(lanes.units[many[group[0]]]), lanes.weights.shape[-1]
+        if (start, wanted) not in lanes.tables:  # [l - i, unit] for l below the weights' width; each lane slices its own
             comb, v = binomial_coefficients(max(wanted), size - 1), lanes.joined[start : start + n]
             lanes.tables[start, wanted] = [_survivor_polynomial(v, i, comb[i, i:], np.arange(size - i)).T for i in wanted]
         polys = lanes.tables[start, wanted]

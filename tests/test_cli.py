@@ -125,7 +125,13 @@ INVALID_DOCUMENTS = {
     ),
     "min_cycles-two": ("evaluate", TIME_LOOP + "min_cycles = 2\n", "multiplexer.min_cycles: must be 0 or 1, got 2"),
     "min_cycles-text": ("evaluate", TIME_LOOP + "min_cycles = one\n", "multiplexer.min_cycles: not an integer: 'one'"),
-    "tail_tol-too-large": ("evaluate", _optimizer("tail_tol = 1e-3"), "optimizer.tail_tol: must be in (0, 1e-6], got 0.001"),
+    "tail_tol-too-large": (
+        "evaluate", _optimizer("tail_tol = 1e-3"), "optimizer.tail_tol: must be in [2.2250738585072014e-308, 1e-6], got 0.001"
+    ),
+    # subnormal: tail_tol / units would round to 0
+    "tail_tol-subnormal": (
+        "evaluate", _optimizer("tail_tol = 5e-324"), "optimizer.tail_tol: must be in [2.2250738585072014e-308, 1e-6], got 5e-324"
+    ),
     "tail_tol-nan": ("evaluate", _optimizer("tail_tol = nan"), "optimizer.tail_tol: must be finite, got 'nan'"),
     "i_max-zero": ("evaluate", _optimizer("i_max = 0"), "optimizer.i_max: must be >= 1, got 0"),
     "i_max-float": ("evaluate", _optimizer("i_max = 2.0"), "optimizer.i_max: not an integer: '2.0'"),

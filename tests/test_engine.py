@@ -69,6 +69,8 @@ class TestDegenerateCases:
     def test_tail_tol_bounds(self):
         with pytest.raises(ValueError):
             constant_loss_config(0.5, 0.9, 0.9, 2, HeraldingStrategy.single_photon(), tail_tol=1e-3)
+        with pytest.raises(ValueError):  # subnormal: tail_tol / units would round to 0
+            constant_loss_config(0.5, 0.9, 0.9, 4, HeraldingStrategy.single_photon(), tail_tol=5e-324)
 
     @pytest.mark.parametrize("mean", [745.0, 760.0, 800.0])
     def test_means_past_the_normal_range_of_exp(self, mean):
@@ -431,6 +433,10 @@ class TestInvariants:
         assert p1_profile(cfg, means, plain) == pytest.approx(want, abs=5 * cfg.tail_tol)
         bounded = plain.with_series(cfg, np.minimum(1.2 * means.max(axis=1), 20.0))  # as a search fixes it
         assert p1_profile(cfg, means, bounded) == pytest.approx(want, abs=5 * cfg.tail_tol)
+        # a lane's series only gets shorter: a larger bound leaves it as it is
+        assert (bounded.width <= plain.weights.shape[-1]).all()
+        again = bounded.with_series(cfg, np.full(len(units), 20.0))
+        assert np.array_equal(again.bound, bounded.bound) and np.array_equal(again.width, bounded.width)
 
     @pytest.mark.parametrize("mux", [MultiplexerModel.symmetric_spatial(0.9), MultiplexerModel.time_chain(0.95, 0.9)])
     def test_lane_values_do_not_depend_on_the_other_lanes(self, mux):

@@ -300,7 +300,9 @@ class TestComparisonMap:
 
         # with one series length for every call the chunked search is the per-cell search, bit for bit
         series_length = engine._series_length
-        monkeypatch.setattr(engine, "_series_length", lambda cfg, mean, units: series_length(cfg, LAMBDA_MAX, 1024))
+        monkeypatch.setattr(
+            engine, "_series_length", lambda kind, tail_tol, mean, units: series_length(kind, tail_tol, LAMBDA_MAX, 1024)
+        )
         assert cells(1) == [alone(vr) for vr in vrs]
 
     def test_empty_grid_rejected(self):
