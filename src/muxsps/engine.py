@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import MultiplexerModel, unit_transmissions, validate_unit_count
+from .losses import MultiplexerModel, shared_transmission, unit_transmissions, validate_unit_count
 from .statistics import (
     DEFAULT_TAIL_TOL,
     DetectorModel,
@@ -124,33 +124,31 @@ class ProfileLanes:
 
     ``weights`` has one herald-weight row per distinct strategy, as long as
     the lanes' first series rounded up to whole widths, and ``row`` picks a
-    lane's row; the detector is shared.  ``joined`` concatenates the unit
-    transmissions of every distinct (multiplexer, unit count) pair,
-    ``offsets`` holds each lane's start in it, and ``uniform`` marks lanes
-    whose units all share one transmission, ``transmissions[tx]``.  Each lane
-    carries its own series: its means stay within ``bound`` and it sums
-    ``width`` terms, never more than the herald weights hold.  ``tables``
-    caches, per tuple of photon numbers, each herald-weight row times the
-    survivor polynomial of each transmission, and, per (offset, photon
-    numbers), the survivor polynomials of a many-transmission lane's units;
+    lane's row; the detector is shared.  ``uniform`` marks lanes whose
+    multiplexer gives all units one transmission, ``transmissions[tx]``;
+    another lane's per-unit transmissions are ``vectors[tx]`` (None if uniform).
+    Each lane carries its own series: its means stay within ``bound`` and
+    it sums ``width`` terms, never more than the herald weights hold.
+    ``tables`` caches, per tuple of photon numbers, each herald-weight row
+    times the survivor polynomial of each transmission, and, per (vector
+    index, photon numbers), the survivor polynomials of a vector's units;
     every lane set made from these lanes shares it.
     """
 
     units: np.ndarray
     row: np.ndarray
-    offsets: np.ndarray
     uniform: np.ndarray
     tx: np.ndarray
     bound: np.ndarray
     width: np.ndarray
     weights: np.ndarray
-    joined: np.ndarray
     transmissions: np.ndarray
+    vectors: tuple[np.ndarray | None, ...]
     tables: dict = field(default_factory=dict)
 
     def take(self, index: np.ndarray) -> ProfileLanes:
         """The lanes at ``index``, sharing every per-search table."""
-        per_lane = ("units", "row", "offsets", "uniform", "tx", "bound", "width")
+        per_lane = ("units", "row", "uniform", "tx", "bound", "width")
         return replace(self, **{name: getattr(self, name)[index] for name in per_lane})
 
     def with_series(self, cfg: SourceConfig, bound: np.ndarray) -> ProfileLanes:
@@ -230,18 +228,17 @@ def profile_lanes(
     models, model = _distinct(muxes)
     keys = list(zip(model.tolist(), units.tolist()))
     which = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-    sizes = np.array([n for _, n in which])
-    joined = np.concatenate([unit_transmissions(models[m], n) for m, n in which])
-    starts = sizes.cumsum() - sizes
-    uniform = np.minimum.reduceat(joined, starts) == np.maximum.reduceat(joined, starts)
-    transmissions = np.array(sorted(set(joined[starts[uniform]].tolist())))  # plain np.unique imports numpy.ma (~20 ms)
-    tx = np.searchsorted(transmissions, joined[starts])  # read for uniform lanes only
+    values = [shared_transmission(models[m], n) for m, n in which]
+    uniform = np.array([v is not None for v in values])
+    at = {v: k for k, v in enumerate(sorted(set(values) - {None}))}  # plain np.unique imports numpy.ma (~20 ms)
+    tx = np.array([k if v is None else at[v] for k, v in enumerate(values)])
+    vectors = tuple(unit_transmissions(models[m], n) if v is None else None for (m, n), v in zip(which, values))
     lane_key = np.array(list(map(which.__getitem__, keys)))
     size = -(-(length + 1) // _WIDTH) * _WIDTH  # the rounded width of a uniform lane
     weights = np.array([herald_weights(s, cfg.detector, size - 1) for s in distinct])
     width = np.where(uniform[lane_key], size, length + 1)
-    per_lane = (units, row, starts[lane_key], uniform[lane_key], tx[lane_key], np.full(units.size, float(max_mean)), width)
-    return ProfileLanes(*per_lane, weights, joined, transmissions)
+    per_lane = (units, row, uniform[lane_key], tx[lane_key], np.full(units.size, float(max_mean)), width)
+    return ProfileLanes(*per_lane, weights, np.array(list(at), dtype=float), vectors)
 
 
 def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at: np.ndarray, sums: np.ndarray) -> None:
@@ -289,7 +286,7 @@ def p1_profile(
     The series is factored so no lanes x means x pairs array is built: the
     pair pmf per mean, one herald-weight row per strategy, the survivor
     polynomial C(l, i) v**i (1 - v)**(l - i) per distinct transmission (per
-    multiplexer and unit count for lanes with many transmissions), and the
+    unit of the lane's per-unit vector if its units do not share one), and the
     priority sum in closed geometric form for a lane whose units all share
     one transmission.  With means shared by every lane, such lanes of one
     width make one matrix product of their survivor rows against the pair
@@ -340,23 +337,19 @@ def p1_profile(
             out[:, same] = sums
     if many.size:  # one pmf; each lane reads its own terms, and a running sum stops its herald probability there
         pairs = pmf_array(cfg.dist.kind, means if shared else means[many], lanes.width[many].max() - 1)
-    for start in sorted(set(lanes.offsets[many].tolist())):
-        group = np.flatnonzero(lanes.offsets[many] == start)
-        n, size = int(lanes.units[many[group[0]]]), lanes.weights.shape[-1]
-        if (start, wanted) not in lanes.tables:  # [l - i, unit] for l below the weights' width; each lane slices its own
-            comb, v = binomial_coefficients(max(wanted), size - 1), lanes.joined[start : start + n]
-            lanes.tables[start, wanted] = [_survivor_polynomial(v, i, comb[i, i:], np.arange(size - i)).T for i in wanted]
-        polys = lanes.tables[start, wanted]
-        for j in group:  # lane by lane, so no temporary outgrows one lane's (means, units)
-            lane, w = many[j], lanes.width[many[j]]
-            mass = (pairs if shared else pairs[j])[:, :w] * lanes.weights[lanes.row[lane], :w]
-            p = np.cumsum(mass, axis=-1)[:, -1]
-            priority = _no_herald_weights(1.0 - p, n)
-            for k, (i, poly) in enumerate(zip(wanted, polys)):
-                if i < w:
-                    out[k, lane] = np.einsum("kn,kn->k", priority, mass[:, i:] @ poly[: w - i])
-                if i == 0:  # no unit heralds
-                    out[k, lane] += np.maximum(1.0 - p, 0.0) ** n
+    for j, lane in enumerate(many.tolist()):  # lane by lane, so no temporary outgrows one lane's (means, units)
+        n, w, vector, size = int(lanes.units[lane]), lanes.width[lane], int(lanes.tx[lane]), lanes.weights.shape[-1]
+        if (vector, wanted) not in lanes.tables:  # [l - i, unit] for l below the weights' width; each lane slices its own
+            comb, v = binomial_coefficients(max(wanted), size - 1), lanes.vectors[vector]
+            lanes.tables[vector, wanted] = [_survivor_polynomial(v, i, comb[i, i:], np.arange(size - i)).T for i in wanted]
+        mass = (pairs if shared else pairs[j])[:, :w] * lanes.weights[lanes.row[lane], :w]
+        p = np.cumsum(mass, axis=-1)[:, -1]
+        priority = _no_herald_weights(1.0 - p, n)
+        for k, (i, poly) in enumerate(zip(wanted, lanes.tables[vector, wanted])):
+            if i < w:
+                out[k, lane] = np.einsum("kn,kn->k", priority, mass[:, i:] @ poly[: w - i])
+            if i == 0:  # no unit heralds
+                out[k, lane] += np.maximum(1.0 - p, 0.0) ** n
     return out[0] if one else out
 
 

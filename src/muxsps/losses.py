@@ -147,35 +147,42 @@ def validate_unit_count(model: MultiplexerModel, units: int, name: str = "units"
         raise ParameterError(name, f"must be a power of 2 for kind={model.kind.value}, got {units}")
 
 
+def shared_transmission(model: MultiplexerModel, units: int) -> float | None:
+    """The one transmission all ``units`` units of ``model`` share, or None if they may differ.
+
+    Exact: where it returns v, every entry of ``unit_transmissions(model,
+    units)`` is v.  Binary delays with equal PBS transmission and
+    reflection get None, as r**a * r**b can round off r**(a + b).
+    """
+    validate_unit_count(model, units)
+    if model.kind is MuxKind.SYMMETRIC_SPATIAL:
+        return model.generic_transmission * model.router_transmission ** (units.bit_length() - 1)
+    if units == 1 or model.generic_transmission == 0.0 or model.cycle_transmission == 1.0:
+        return next(_time_transmissions(model, units))
+    return None
+
+
+def _time_transmissions(model: MultiplexerModel, units: int):
+    """The transmissions of a time multiplexer's units n = 1..units, one at a time."""
+    base, cycle, levels = model.generic_transmission, model.cycle_transmission, units.bit_length() - 1
+    if model.kind is MuxKind.TIME_CHAIN:
+        return (base * cycle ** (units - n) for n in range(1, units + 1))
+    if model.kind is MuxKind.TIME_LOOP_LATEST:
+        return (base * cycle ** (n - 1 + model.min_cycles) for n in range(1, units + 1))
+    # binary bulk time: one delay line per set bit of the delay units - n, propagation loss by delay fraction
+    r, t, prop = model.pbs_reflection, model.pbs_transmission, model.propagation_transmission
+    bits = ((delay, delay.bit_count()) for delay in range(units - 1, -1, -1))
+    return (base * r**bit * t ** (levels - bit) * prop ** (delay / units) for delay, bit in bits)
+
+
 @lru_cache(maxsize=256)
 def unit_transmissions(model: MultiplexerModel, units: int) -> np.ndarray:
     """Read-only vector of the total transmissions from unit n = 1..units to the output.
 
-    Python float powers, not numpy's vector power, which can differ in the
-    last bit.
+    Python float powers, not numpy's vector power, which can differ in the last bit.
     """
-    validate_unit_count(model, units)
-    base = model.generic_transmission
-    levels = units.bit_length() - 1
-    if model.kind is MuxKind.SYMMETRIC_SPATIAL:
-        values = [base * model.router_transmission**levels] * units
-    elif model.kind is MuxKind.TIME_CHAIN:
-        values = [base * model.cycle_transmission ** (units - n) for n in range(1, units + 1)]
-    elif model.kind is MuxKind.TIME_LOOP_LATEST:
-        values = [base * model.cycle_transmission ** (n - 1 + model.min_cycles) for n in range(1, units + 1)]
-    else:
-        # binary bulk time: reflected into one delay line per set bit of the
-        # delay units - n, transmitted through the remaining stages, plus
-        # propagation loss proportional to the delay fraction
-        values = []
-        for delay in range(units - 1, -1, -1):
-            reflections = delay.bit_count()
-            values.append(
-                base
-                * model.pbs_reflection**reflections
-                * model.pbs_transmission ** (levels - reflections)
-                * model.propagation_transmission ** (delay / units)
-            )
-    array = np.array(values)
+    shared = shared_transmission(model, units)  # validates the unit count
+    tree = model.kind is MuxKind.SYMMETRIC_SPATIAL
+    array = np.array([shared] * units if tree else list(_time_transmissions(model, units)))
     array.setflags(write=False)
     return array

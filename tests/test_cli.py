@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muxsps import cli, optimize
+from muxsps import cli, engine, optimize
 from muxsps.config import PRESETS, RunSpec, dump_config, parse_config
-from muxsps.optimize import LAMBDA_TOL, optimize_units
+from muxsps.optimize import LAMBDA_TOL, comparison_map, optimize_units
 from muxsps.simulate import SimulationEstimate
+from muxsps.statistics import PairKind
 
 MINIMAL = """\
 [source]
@@ -559,6 +560,28 @@ strategies = threshold,spd
         status, _, err = run_cli(["table", "--config", path], capsys)
         assert status == 2
         assert "sweep" in err
+
+
+class TestPerUnitTransmissions:
+    """The engine builds a per-unit transmission vector only for a lane whose units do not share one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        units, real = [], engine.unit_transmissions
+        monkeypatch.setattr(engine, "unit_transmissions", lambda mux, n: units.append(n) or real(mux, n))
+        return units
+
+    def test_map_builds_none(self, built):
+        comparison_map([0.9], [0.9, 0.95], workers=1)
+        assert built == []
+
+    def test_router_row_builds_none(self, built):
+        cli._router_row((parse_config(PRESETS["ssm-spd"], command="table"), 0.9))
+        assert built == []
+
+    def test_binary_delay_row_builds_its_lanes_with_more_than_one_unit(self, built):
+        cli._scenario_cell((parse_config(PRESETS["btm"], command="table"), 0.9, PairKind.POISSONIAN))
+        assert set(built) == {2**k for k in range(1, 11)}
 
 
 class TestMapCommand:

@@ -65,6 +65,9 @@ class TestDegenerateCases:
                 MultiplexerModel.symmetric_spatial(0.9),
                 12,
             )
+        cfg = constant_loss_config(0.5, 0.9, 0.9, 4, HeraldingStrategy.single_photon())
+        with pytest.raises(ValueError, match="power of 2"):
+            profile_lanes(cfg, [4, 12], max_mean=1.0)  # a tree lane's unit count
 
     def test_tail_tol_bounds(self):
         with pytest.raises(ValueError):
@@ -218,6 +221,15 @@ class TestAgainstIndependentReferences:
         assert output_distribution(delays).probabilities == pytest.approx(
             output_distribution(tree).probabilities, rel=1e-12
         )
+
+    @pytest.mark.parametrize("kind", list(PairKind))
+    @pytest.mark.parametrize("coefficient", [0.9, 0.99])  # units that round to one value, and to two
+    def test_binary_delay_with_equal_coefficients_sums_per_unit(self, coefficient, kind):
+        # the model does not promise one transmission, so the lane sums unit by unit, whatever the rounding
+        mux = MultiplexerModel.binary_bulk_time(coefficient, coefficient, 1.0)
+        cfg = SourceConfig(PairDistribution(kind, 0.6), DetectorModel(0.9), HeraldingStrategy.single_photon(), mux, 8)
+        assert not profile_lanes(cfg, [8], max_mean=0.6).uniform.any()
+        assert output_distribution(cfg).probabilities == pytest.approx(closed_form(cfg), abs=1e-15)
 
 
 @st.composite

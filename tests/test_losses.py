@@ -6,10 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muxsps.losses import MultiplexerModel, MuxKind, unit_transmissions
+from muxsps.losses import MultiplexerModel, MuxKind, shared_transmission, unit_transmissions
 from references import transmit_conditional
 
 
@@ -74,6 +74,10 @@ class TestUnitTransmission:
             unit_transmissions(MultiplexerModel.symmetric_spatial(0.9), 12)
         with pytest.raises(ValueError):
             unit_transmissions(MultiplexerModel.binary_bulk_time(0.9, 0.9, 0.9), 6)
+        with pytest.raises(ValueError):
+            shared_transmission(MultiplexerModel.symmetric_spatial(0.9), 12)
+        with pytest.raises(ValueError):
+            shared_transmission(MultiplexerModel.time_chain(0.9), 0)
 
     def test_chain_allows_any_unit_count(self):
         assert unit_transmissions(MultiplexerModel.time_chain(0.9), 12)[0] > 0
@@ -85,6 +89,50 @@ class TestUnitTransmission:
         loop = unit_transmissions(MultiplexerModel.time_loop_latest(cycle), units)
         assert np.all(np.diff(chain) >= -1e-15)  # chain favors late slots
         assert np.all(np.diff(loop) <= 1e-15)  # release-latest favors early priority
+
+
+# loss parameters at the ends of [0, 1] as well as inside it
+fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def models_with_units(draw):
+    kind = draw(st.sampled_from(list(MuxKind)))
+    generic = draw(fractions)
+    if kind is MuxKind.SYMMETRIC_SPATIAL:
+        mux = MultiplexerModel.symmetric_spatial(draw(fractions), generic)
+    elif kind is MuxKind.TIME_CHAIN:
+        mux = MultiplexerModel.time_chain(draw(fractions), generic)
+    elif kind is MuxKind.TIME_LOOP_LATEST:
+        mux = MultiplexerModel.time_loop_latest(draw(fractions), generic, draw(st.sampled_from([0, 1])))
+    else:
+        mux = MultiplexerModel.binary_bulk_time(draw(fractions), draw(fractions), draw(fractions), generic)
+    units = 2 ** draw(st.integers(0, 10)) if mux.requires_power_of_two else draw(st.integers(1, 64))
+    return mux, units
+
+
+class TestSharedTransmission:
+    @given(models_with_units())
+    @example((MultiplexerModel.binary_bulk_time(0.9, 0.9, 1.0), 8))  # its units round to one value
+    @example((MultiplexerModel.binary_bulk_time(0.99, 0.99, 1.0), 8))  # its units round to two values
+    @example((MultiplexerModel.time_chain(1.0, 0.9), 8))
+    @example((MultiplexerModel.time_loop_latest(0.5, 0.0), 8))
+    @settings(max_examples=200)
+    def test_shared_value_is_every_unit_bit_for_bit(self, case):
+        mux, units = case
+        shared = shared_transmission(mux, units)
+        if shared is not None:
+            assert unit_transmissions(mux, units).tobytes() == np.full(units, shared).tobytes()
+        if units == 1 or mux.kind is MuxKind.SYMMETRIC_SPATIAL:
+            assert shared is not None
+
+    def test_which_time_multiplexers_share_one_transmission(self):
+        assert shared_transmission(MultiplexerModel.time_chain(1.0, 0.9), 8) == 0.9
+        assert shared_transmission(MultiplexerModel.time_loop_latest(1.0, 0.9, 0), 8) == 0.9
+        assert shared_transmission(MultiplexerModel.time_loop_latest(0.5, 0.9), 1) == 0.45
+        assert shared_transmission(MultiplexerModel.binary_bulk_time(0.9, 0.95, 0.85, 0.0), 8) == 0.0
+        assert shared_transmission(MultiplexerModel.time_chain(0.99, 0.9), 8) is None
+        assert shared_transmission(MultiplexerModel.binary_bulk_time(0.9, 0.9, 1.0), 8) is None
 
 
 class TestModelValidation:
