@@ -26,7 +26,9 @@ import numpy as np
 from . import __version__
 from .config import PRESETS, ConfigError, RunSpec, check_sweep, config_field, dump_config, flatten_config, format_value, inclusive_range, parse_config
 from .engine import OutputDistribution, SourceConfig, output_distribution
-from .optimize import _cutoffs, comparison_map, maximize_over_lambda, optimize_strategies, optimize_units, run_tasks
+from .optimize import (
+    _cutoffs, _unit_candidates, comparison_map, maximize_over_lambda, optimize_strategies, optimize_units, run_tasks, search_blocks
+)
 from .simulate import simulate
 from .statistics import PairKind
 
@@ -239,60 +241,68 @@ def _cmd_map(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _router_row(task: tuple) -> list[tuple]:
-    """Rows of one V_D: every swept V_r, from one lane search."""
-    spec, vd = task
-    cfg = replace(spec.cfg, detector=replace(spec.cfg.detector, efficiency=vd))
-    vrs = spec.sweep.vr_values
-    muxes = [replace(cfg.mux, router_transmission=vr) for vr in vrs]
-    result = optimize_strategies(cfg, [cfg.strategy], spec.n_candidates, muxes)
-    optima = zip(vrs, result.n_opt.tolist(), result.p1_max.tolist(), result.lambda_opt.tolist())
-    return [(vd, *optimum) for optimum in optima]
+def _router_cells(task: tuple) -> list[list[tuple]]:
+    """The row of each (V_D, V_r) cell of a block of V_D and V_r values, from one lane search."""
+    spec, vds, vrs = task
+    detectors = [replace(spec.cfg.detector, efficiency=vd) for vd in vds]
+    muxes = [replace(spec.cfg.mux, router_transmission=vr) for vr in vrs]
+    result = optimize_strategies(spec.cfg, [spec.cfg.strategy], spec.n_candidates, muxes, detectors)
+    optima = zip(result.n_opt.tolist(), result.p1_max.tolist(), result.lambda_opt.tolist())
+    cells = [(vd, vr) for vd in vds for vr in vrs]
+    return [[(*cell, *optimum)] for cell, optimum in zip(cells, optima)]
 
 
-def _curve_rows(task: tuple) -> list[tuple]:
-    """Rows of one N: every swept lambda."""
+def _curve_rows(task: tuple) -> list[list[tuple]]:
+    """Rows of one N, every swept lambda, as one cell."""
     spec, units = task
     cfg = replace(spec.cfg, i_max=1)  # the table reads P_1 alone
     rows = []
     for mean in spec.sweep.lambda_values:
         out = output_distribution(replace(cfg, units=units, dist=replace(cfg.dist, mean=mean)))
         rows.append((units, mean, out[1]))
-    return rows
+    return [rows]
 
 
-def _scenario_cell(task: tuple) -> list[tuple]:
-    """Rows of one (V_D, pair kind): every swept strategy, from one lane search."""
-    spec, vd, pair_kind = task
-    sweep, cfg = spec.sweep, spec.cfg
-    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=vd), dist=replace(cfg.dist, kind=pair_kind))
+def _scenario_cells(task: tuple) -> list[list[tuple]]:
+    """Rows of each V_D of a block, for one pair kind and every swept strategy, from one lane search."""
+    spec, pair_kind, vds = task
+    sweep, cfg = spec.sweep, replace(spec.cfg, dist=replace(spec.cfg.dist, kind=pair_kind))
     labels, strategies = zip(*(sweep.strategies or [(cfg.strategy.label, cfg.strategy)]))
-    if sweep.n_values:  # each row is one (strategy, N) lane
-        units = sweep.n_values
-        lam, p1 = maximize_over_lambda(cfg, units * len(strategies), [s for s in strategies for _ in units])
-        labels = [label for label in labels for _ in units]
-        optima = zip(units * len(strategies), p1.tolist(), lam.tolist())
+    detectors = [replace(cfg.detector, efficiency=vd) for vd in vds]
+    if sweep.n_values:  # each row is one (V_D, strategy, N) lane
+        lanes = [(detector, strategy, n) for detector in detectors for strategy in strategies for n in sweep.n_values]
+        detector_of, strategy_of, units = zip(*lanes)
+        lam, p1 = maximize_over_lambda(cfg, units, strategy_of, None, detector_of)
+        labels = [label for label in labels for _ in sweep.n_values]
+        optima = zip(units, p1.tolist(), lam.tolist())
     else:
-        result = optimize_strategies(cfg, strategies, spec.n_candidates)
+        result = optimize_strategies(cfg, strategies, spec.n_candidates, None, detectors)
         optima = zip(result.n_opt.tolist(), result.p1_max.tolist(), result.lambda_opt.tolist())
-    return [(vd, pair_kind.value, label, *optimum) for label, optimum in zip(labels, optima)]
+    rows = [(vd, pair_kind.value, label) for vd in vds for label in labels]
+    rows = [(*row, *optimum) for row, optimum in zip(rows, optima)]
+    return [rows[k : k + len(labels)] for k in range(0, len(rows), len(labels))]
 
 
 def _cmd_table(spec: RunSpec) -> int:
     sweep, cfg = spec.sweep, spec.cfg
+    kinds: Sequence = (None,)  # the tasks go kind by kind; the rows interleave the kinds' cells, cell by cell
     if sweep.vr_values:
-        header, fn = ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], _router_row
-        tasks = [(spec, vd) for vd in sweep.vd_values]
+        header, fn = ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], _router_cells
+        vds, vrs, lanes = sweep.vd_values, sweep.vr_values, len(_unit_candidates(cfg, spec.n_candidates))
+        tasks = [(spec, vds[rows], vrs[cols]) for rows, cols in search_blocks(len(vds), len(vrs), lanes)]
     elif sweep.lambda_values:
         header, fn = ["N", "lambda", "P_1"], _curve_rows
         tasks = [(spec, units) for units in sweep.n_values or (cfg.units,)]
     elif sweep.vd_values:
-        header, fn = ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], _scenario_cell
-        tasks = [(spec, vd, pair_kind) for vd in sweep.vd_values for pair_kind in sweep.pair_kinds or (cfg.dist.kind,)]
+        header, fn = ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], _scenario_cells
+        kinds, vds = sweep.pair_kinds or (cfg.dist.kind,), sweep.vd_values
+        lanes = len(sweep.strategies or (None,)) * len(sweep.n_values or _unit_candidates(cfg, spec.n_candidates))
+        tasks = [(spec, kind, vds[cols]) for kind in kinds for _, cols in search_blocks(1, len(vds), lanes)]
     else:
         raise ConfigError("sweep", "table needs vd_values (+ vr_values / n_values) or lambda_values")
-    cells = run_tasks(fn, tasks, spec.workers, _progress("table", len(tasks)))
-    _emit(spec, header, [row for cell in cells for row in cell], _meta(spec))
+    cells = [cell for cells in run_tasks(fn, tasks, spec.workers, _progress("table", len(tasks))) for cell in cells]
+    per_kind = len(cells) // len(kinds)
+    _emit(spec, header, [row for k in range(per_kind) for cell in cells[k::per_kind] for row in cell], _meta(spec))
     return EXIT_OK
 
 

@@ -8,10 +8,10 @@ path.  If no unit heralds, the output is vacuum.
 
 One kernel, ``p1_profile``, evaluates the resulting output photon-number
 probabilities exactly, up to a controlled series truncation, for a batch
-of (heralding strategy, multiplexer, unit count) lanes and pump means;
-``output_distribution`` is its one-lane, one-mean call.  ``closed_form``
-gives the same probabilities without any series, as an independent
-cross-check.
+of (heralding strategy, detector, multiplexer, unit count) lanes and pump
+means; ``output_distribution`` is its one-lane, one-mean call.
+``closed_form`` gives the same probabilities without any series, as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -116,15 +116,20 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
 # multiple of this, so a call has a few widths, each set by its lanes' own
 # lengths; 66 terms serve a mean of 20 at 1024 units
 _WIDTH = 33
+# BLAS sums the rows of a partial tile of a matrix product with other
+# kernels, which round differently; a product of several lane rows repeats
+# rows to whole tiles of this many, a multiple of common tile heights, so a
+# lane's values do not depend on how many lanes share its width
+_TILE = 16
 
 
 @dataclass(frozen=True, eq=False)
 class ProfileLanes:
-    """Per-search constants of ``p1_profile``: a lane is a (strategy, multiplexer, unit count).
+    """Per-search constants of ``p1_profile``: a lane is a (strategy, detector, multiplexer, unit count).
 
-    ``weights`` has one herald-weight row per distinct strategy, as long as
-    the lanes' first series rounded up to whole widths, and ``row`` picks a
-    lane's row; the detector is shared.  ``uniform`` marks lanes whose
+    ``weights`` has one herald-weight row per distinct (strategy, detector)
+    pair, as long as the lanes' first series rounded up to whole widths, and
+    ``row`` picks a lane's row.  ``uniform`` marks lanes whose
     multiplexer gives all units one transmission, ``transmissions[tx]``;
     another lane's per-unit transmissions are ``vectors[tx]`` (None if uniform).
     Each lane carries its own series: its means stay within ``bound`` and
@@ -202,28 +207,37 @@ def profile_lanes(
     units: Sequence[int],
     strategies: Sequence[HeraldingStrategy] | None = None,
     muxes: Sequence[MultiplexerModel] | None = None,
+    detectors: Sequence[DetectorModel] | None = None,
     *,
     max_mean: float,
 ) -> ProfileLanes:
     """Lanes of ``p1_profile`` calls with means up to ``max_mean``, one per unit count.
 
-    ``strategies`` and ``muxes`` give each lane's heralding strategy and
-    multiplexer (default ``cfg.strategy`` and ``cfg.mux`` for every lane).
-    The herald weights are computed once here, to the truncation point of
-    ``max_mean`` and the largest unit count (which bounds the tail of every
-    smaller mean and unit count too) rounded up to whole widths.  Every lane
-    gets that series: bounded by ``max_mean``, and summing its length plus
-    one terms, rounded up to whole widths if its units share one
-    transmission.  ``ProfileLanes.with_series`` can only shorten it.
+    ``strategies``, ``muxes`` and ``detectors`` give each lane's heralding
+    strategy, multiplexer and detector (default ``cfg.strategy``,
+    ``cfg.mux`` and ``cfg.detector`` for every lane).  The herald weights
+    are computed once here, one row per distinct (strategy, detector) pair,
+    to the truncation point of ``max_mean`` and the largest unit count
+    (which bounds the tail of every smaller mean and unit count too) rounded
+    up to whole widths.  Every lane gets that series: bounded by
+    ``max_mean``, and summing its length plus one terms, rounded up to whole
+    widths if its units share one transmission.
+    ``ProfileLanes.with_series`` can only shorten it.
     """
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
     muxes = (cfg.mux,) * units.size if muxes is None else tuple(muxes)
-    if units.ndim != 1 or units.size == 0 or not len(strategies) == len(muxes) == units.size:
-        raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy and multiplexer per lane")
+    lengths = {len(strategies), len(muxes), units.size if detectors is None else len(detectors)}
+    if units.ndim != 1 or units.size == 0 or lengths != {units.size}:
+        raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy, multiplexer and detector per lane")
     distinct, row = _distinct(strategies)
-    for strategy in distinct:
-        strategy.validate_for(cfg.detector)
+    pairs = [(strategy, cfg.detector) for strategy in distinct]
+    if detectors is not None:  # a row per (detector, strategy) index pair that some lane uses
+        found, det = _distinct(detectors)
+        keys, row = np.unique(det * len(distinct) + row, return_inverse=True)
+        pairs = [(distinct[k % len(distinct)], found[k // len(distinct)]) for k in keys.tolist()]
+    for strategy, detector in pairs:
+        strategy.validate_for(detector)
     length = _series_length(cfg.dist.kind, cfg.tail_tol, float(max_mean), int(units.max()))
     models, model = _distinct(muxes)
     keys = list(zip(model.tolist(), units.tolist()))
@@ -235,7 +249,7 @@ def profile_lanes(
     vectors = tuple(unit_transmissions(models[m], n) if v is None else None for (m, n), v in zip(which, values))
     lane_key = np.array(list(map(which.__getitem__, keys)))
     size = -(-(length + 1) // _WIDTH) * _WIDTH  # the rounded width of a uniform lane
-    weights = np.array([herald_weights(s, cfg.detector, size - 1) for s in distinct])
+    weights = np.array([herald_weights(strategy, detector, size - 1) for strategy, detector in pairs])
     width = np.where(uniform[lane_key], size, length + 1)
     per_lane = (units, row, uniform[lane_key], tx[lane_key], np.full(units.size, float(max_mean)), width)
     return ProfileLanes(*per_lane, weights, np.array(list(at), dtype=float), vectors)
@@ -275,27 +289,29 @@ def p1_profile(
 
     The one evaluation kernel of the library: P_i for i = ``photons`` (the
     single-photon probability by default), and ``output_distribution`` is
-    its one-lane, one-mean call.  A lane is a (heralding strategy,
+    its one-lane, one-mean call.  A lane is a (heralding strategy, detector,
     multiplexer, unit count): ``lanes`` is a ``ProfileLanes`` from
-    ``profile_lanes``, or unit counts that all use ``cfg.strategy`` and
-    ``cfg.mux`` (default ``cfg.units`` alone).  ``means`` is a 1-d grid
-    shared by every lane or a 2-d array with one row per lane; the result is
-    a (lanes, means) array for one photon number and a (photons, lanes,
-    means) array for a sequence.
+    ``profile_lanes``, or unit counts that all use ``cfg.strategy``,
+    ``cfg.detector`` and ``cfg.mux`` (default ``cfg.units`` alone).
+    ``means`` is a 1-d grid shared by every lane or a 2-d array with one row
+    per lane; the result is a (lanes, means) array for one photon number and
+    a (photons, lanes, means) array for a sequence.
 
     The series is factored so no lanes x means x pairs array is built: the
-    pair pmf per mean, one herald-weight row per strategy, the survivor
-    polynomial C(l, i) v**i (1 - v)**(l - i) per distinct transmission (per
-    unit of the lane's per-unit vector if its units do not share one), and the
-    priority sum in closed geometric form for a lane whose units all share
-    one transmission.  With means shared by every lane, such lanes of one
-    width make one matrix product of their survivor rows against the pair
-    pmf, and the priority factor is computed once per (strategy row, unit
-    count).  P_0 also holds the no-herald term miss**units, and
-    photon numbers beyond the series are 0.  Each lane sums its own series,
-    ``width`` terms for means up to its ``bound`` (see
+    pair pmf per mean, one herald-weight row per (strategy, detector), the
+    survivor polynomial C(l, i) v**i (1 - v)**(l - i) per distinct
+    transmission (per unit of the lane's per-unit vector if its units do not
+    share one), and the priority sum in closed geometric form for a lane
+    whose units all share one transmission.  With means shared by every
+    lane, such lanes of one width make one matrix product of their survivor
+    rows against the pair pmf, and the priority factor is computed once per
+    (herald-weight row, unit count).  P_0 also holds the no-herald term
+    miss**units, and photon numbers beyond the series are 0.  Each lane sums
+    its own series, ``width`` terms for means up to its ``bound`` (see
     ``ProfileLanes.with_series``), so its values do not depend on the other
-    lanes of the call.  Means must be non-negative.
+    lanes of the call; only a width's one lane on a shared grid is a
+    matrix-vector product, which can round differently.  Means must be
+    non-negative.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
@@ -322,11 +338,13 @@ def p1_profile(
             sel = np.flatnonzero(widths == w)
             pick, row, start = same[sel], lanes.row[same[sel]], sum(map(len, herald))
             pair = pmf_array(cfg.dist.kind, means if shared else means[pick], w - 1)
-            if shared:  # herald probabilities per strategy row, and one matrix product of the lanes' survivor rows
+            if shared:  # herald probabilities per herald-weight row, and one matrix product of the lanes' survivor rows
                 herald.append((pair @ lanes.weights[:, :w, None])[..., 0])
                 at[sel] = start + row
+                tiles = np.resize(np.arange(sel.size), -(-sel.size // _TILE) * _TILE if sel.size > 1 else 1)
                 for k, i in enumerate(wanted):
-                    sums[k, sel] = table[k, row, lanes.tx[pick], : max(w - i, 0)] @ pair[:, i:].T
+                    product = table[k, row[tiles], lanes.tx[pick[tiles]], : max(w - i, 0)] @ pair[:, i:].T
+                    sums[k, sel] = product[: sel.size]
             else:  # two row dots per lane
                 herald.append(np.vecdot(pair, lanes.weights[row, None, :w]))
                 at[sel] = start + np.arange(sel.size)

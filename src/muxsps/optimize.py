@@ -4,17 +4,19 @@ For a fixed loss configuration the free design knobs are the pump strength
 (mean pair number per pulse), the number of multiplexed units, and the
 heralding strategy (threshold, exactly-one-photon, or an accepted-count
 cutoff).  The search is exhaustive over unit counts and strategies.  In
-the pump strength, every (strategy, multiplexer, unit count) triple is one
-lane of the engine's one kernel ``p1_profile``, asked for P_1 alone: a
+the pump strength, every (strategy, detector, multiplexer, unit count) is
+one lane of the engine's one kernel ``p1_profile``, asked for P_1 alone: a
 coarse grid brackets each lane's peak and golden-section refinement then
 runs in lockstep over all lanes, so no unimodality assumption is
 load-bearing.  A unit scan, a cutoff scan, a chunk of comparison-map cells
-sharing one detector efficiency and a row of router-grid table cells are
-each one such search, an ``optimize_strategies`` call.  Its result is
-arrays over (multiplexer x strategy group, unit candidate), and every best
-unit count or cutoff is the first maximum that ``np.argmax`` picks, so ties
-go to fewer units and the smaller cutoff.  A map chunk keeps only each
-cell's optima.  Results carry optima, not the output distribution there;
+of one detector efficiency and a block of router-grid or scenario table
+cells are each one such search, an ``optimize_strategies`` call.  One lane
+budget, ``SEARCH_LANES``, bounds how many cells a map chunk or table block
+takes (``search_blocks``).  A search's result is arrays over (detector x
+multiplexer x strategy group, unit candidate), and every best unit count
+or cutoff is the first maximum that ``np.argmax`` picks, so ties go to
+fewer units and the smaller cutoff.  A map chunk keeps only each cell's
+optima.  Results carry optima, not the output distribution there;
 ``output_distribution`` gives that.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -43,16 +45,16 @@ LAMBDA_TOL = 1e-4
 DEFAULT_POW2_CAP = 1024
 DEFAULT_CHAIN_CAP = 128
 DEFAULT_J_MAX = 6
-# map cells per lane search: 12 cells of 77 lanes (pow2:1024, j_max 6) keep a
-# search's temporaries near 4 MB, below the map's other memory
-MAP_CHUNK_CELLS = 12
+# lanes per search of a map or table: 26 map cells of 77 lanes (pow2:1024,
+# j_max 6) keep a search's temporaries near the map's other memory
+SEARCH_LANES = 2048
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Optima of one lane search, as arrays; row g is (multiplexer, strategy) group g.
+    """Optima of one lane search, as arrays; row g is (detector, multiplexer, strategy) group g.
 
     ``lambdas[g, k]`` and ``p1s[g, k]`` are the best pump mean and P_1 of
     unit candidate ``units[k]``; ``n_opt``, ``lambda_opt`` and ``p1_max`` are
@@ -103,22 +105,24 @@ def maximize_over_lambda(
     units: Sequence[int],
     strategies: Sequence[HeraldingStrategy] | None = None,
     muxes: Sequence[MultiplexerModel] | None = None,
+    detectors: Sequence[DetectorModel] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best pump mean and single-photon probability at each lane, as two arrays in lane order.
 
-    Lane i is unit count ``units[i]`` heralded with ``strategies[i]``
-    behind multiplexer ``muxes[i]`` (default the template's strategy and
-    multiplexer for every lane), one lane of ``p1_profile``; the herald
-    weights and transmissions are computed once for the whole search.  A
-    coarse grid scan, with one series length at the grid's top, brackets
-    every lane's peak.  Golden-section refinement then runs in lockstep over
-    the lanes, each summed over its own series, fixed at its bracket's upper
-    end, and stopping once its bracket is narrower than ``LAMBDA_TOL``.  A
-    lane returns its bracket midpoint, or its best grid point if that is
-    higher (the bracket can be degenerate).
+    Lane i is unit count ``units[i]`` heralded with ``strategies[i]`` by
+    detector ``detectors[i]`` behind multiplexer ``muxes[i]`` (default the
+    template's strategy, detector and multiplexer for every lane), one lane
+    of ``p1_profile``; the herald weights and transmissions are computed
+    once for the whole search.  A coarse grid scan, with one series length
+    at the grid's top, brackets every lane's peak.  Golden-section
+    refinement then runs in lockstep over the lanes, each summed over its
+    own series, fixed at its bracket's upper end, and stopping once its
+    bracket is narrower than ``LAMBDA_TOL``.  A lane returns its bracket
+    midpoint, or its best grid point if that is higher (the bracket can be
+    degenerate).
     """
     grid = _coarse_grid()
-    lanes = profile_lanes(cfg_template, units, strategies, muxes, max_mean=float(grid[-1]))
+    lanes = profile_lanes(cfg_template, units, strategies, muxes, detectors, max_mean=float(grid[-1]))
     k = np.argmax(p1_profile(cfg_template, grid, lanes), axis=1)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
     lanes = lanes.with_series(cfg_template, hi)
@@ -176,22 +180,26 @@ def optimize_strategies(
     strategies: Sequence[HeraldingStrategy],
     n_candidates: Iterable[int] | None = None,
     muxes: Sequence[MultiplexerModel] | None = None,
+    detectors: Sequence[DetectorModel] | None = None,
 ) -> OptimizationResult:
-    """Best unit count and pump strength for each multiplexer and heralding strategy.
+    """Best unit count and pump strength for each detector, multiplexer and heralding strategy.
 
-    One lockstep pump-mean search covers every (multiplexer, strategy, unit
-    count) lane; the result's groups come in (multiplexer, strategy) order.
-    ``muxes`` defaults to the template's own multiplexer; the unit
-    candidates come from the template, so the multiplexers should share its
-    topology.  Ties break toward the smaller unit count (less hardware).  The
-    release-latest loop keeps its configured unit count whatever the
-    candidates (see ``default_unit_candidates``).
+    One lockstep pump-mean search covers every (detector, multiplexer,
+    strategy, unit count) lane; the result's groups come in (detector,
+    multiplexer, strategy) order.  ``detectors`` and ``muxes`` default to the
+    template's own; the unit candidates come from the template, so the
+    multiplexers should share its topology.  Ties break toward the smaller
+    unit count (less hardware).  The release-latest loop keeps its
+    configured unit count whatever the candidates (see
+    ``default_unit_candidates``).
     """
     candidates = np.array(_unit_candidates(cfg_template, n_candidates))
     muxes = (cfg_template.mux,) if muxes is None else muxes
     lanes = [(mux, strategy, n) for mux in muxes for strategy in strategies for n in candidates.tolist()]
-    mux_of, strategy_of, units = zip(*lanes)
-    lambdas, p1s = (x.reshape(-1, candidates.size) for x in maximize_over_lambda(cfg_template, units, strategy_of, mux_of))
+    mux_of, strategy_of, units = (x * (1 if detectors is None else len(detectors)) for x in zip(*lanes))
+    detector_of = None if detectors is None else [detector for detector in detectors for _ in lanes]
+    search = maximize_over_lambda(cfg_template, units, strategy_of, mux_of, detector_of)
+    lambdas, p1s = (x.reshape(-1, candidates.size) for x in search)
     best = np.argmax(p1s, axis=1)  # the first maximum: ties go to fewer units
     rows = np.arange(best.size)
     return OptimizationResult(candidates, lambdas, p1s, candidates[best], lambdas[rows, best], p1s[rows, best])
@@ -242,16 +250,26 @@ def run_tasks(
     return results
 
 
+def search_blocks(rows: int, cols: int, lanes_per_cell: int) -> list[tuple[slice, slice]]:
+    """(row, column) slices of a rows x cols grid of cells, one lane search each, in row-major order.
+
+    A block holds at most ``SEARCH_LANES // lanes_per_cell`` cells (at least
+    one): as many whole rows as fit, or else a piece of one row.
+    """
+    cells = max(1, SEARCH_LANES // lanes_per_cell)
+    if cells >= cols:
+        return [(slice(r, r + cells // cols), slice(None)) for r in range(0, rows, cells // cols)]
+    return [(slice(r, r + 1), slice(c, c + cells)) for r in range(rows) for c in range(0, cols, cells)]
+
+
 def _map_chunk(task: tuple) -> dict[str, np.ndarray]:
     """``ComparisonMap`` fields at each (V_D, V_r) cell of a chunk of one V_D row, from one search."""
-    vd, vrs, j_max, candidates, tail_tol, i_max, resolution_cap = task
+    template, vd, vrs, strategies, candidates = task
+    template = replace(template, detector=replace(template.detector, efficiency=vd))
     muxes = [MultiplexerModel.symmetric_spatial(vr) for vr in vrs]
-    threshold = HeraldingStrategy.threshold()
-    detector = DetectorModel(vd, resolution_cap)
-    template = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), detector, threshold, muxes[0], 1, tail_tol, i_max)
-    result = optimize_strategies(template, [threshold, *_cutoffs(template, j_max)], candidates, muxes)
+    result = optimize_strategies(template, strategies, candidates, muxes)
     # per cell, group 0 is threshold heralding and group j the cutoff j; cutoff 1 is exactly-one-photon heralding
-    n, lam, p1 = (x.reshape(len(vrs), 1 + j_max) for x in (result.n_opt, result.lambda_opt, result.p1_max))
+    n, lam, p1 = (x.reshape(len(vrs), len(strategies)) for x in (result.n_opt, result.lambda_opt, result.p1_max))
     j_opt = np.argmax(p1[:, 1:], axis=1) + 1  # the first maximum: ties go to the smaller cutoff
     return dict(
         j_opt=j_opt, p1_spd=p1[:, 1], p1_threshold=p1[:, 0], p1_jopt=p1[np.arange(len(vrs)), j_opt],
@@ -274,20 +292,24 @@ def comparison_map(
     """Compare heralding modes cell by cell over a (V_D, V_r) grid.
 
     V_D is the detector efficiency and V_r the router transmission of a
-    symmetric spatial tree.  Each task is one lane search over a chunk of up
-    to ``MAP_CHUNK_CELLS`` cells of one V_D row, since cells that share a
-    detector share their herald weights.  Chunks come back in grid order, so
-    the map is identical for any worker count; ``progress(done, total)`` is
-    called once per cell, after its chunk finishes.
+    symmetric spatial tree.  Each task is one lane search over a chunk of
+    one V_D row, as many cells as ``search_blocks`` lets into the lane
+    budget.  Chunks come back in grid order, so the map is identical for any
+    worker count; ``progress(done, total)`` is called once per cell, after
+    its chunk finishes.
     """
     axis_vd = np.asarray(list(grid_vd), dtype=float)
     axis_vr = np.asarray(list(grid_vr), dtype=float)
     if axis_vd.size == 0 or axis_vr.size == 0:
         raise ValueError("grids must be non-empty")
-    settings = (j_max, None if n_candidates is None else tuple(n_candidates), tail_tol, i_max, resolution_cap)
-    vrs, steps = tuple(axis_vr.tolist()), range(0, axis_vr.size, MAP_CHUNK_CELLS)
-    chunks = [(vd, vrs[k : k + MAP_CHUNK_CELLS], *settings) for vd in axis_vd.tolist() for k in steps]
-    ends = [0, *accumulate(len(chunk[1]) for chunk in chunks)]
+    vds, vrs = axis_vd.tolist(), tuple(axis_vr.tolist())
+    threshold, tree = HeraldingStrategy.threshold(), MultiplexerModel.symmetric_spatial(vrs[0])
+    detector = DetectorModel(vds[0], resolution_cap)
+    template = SourceConfig(PairDistribution(PairKind.POISSONIAN, 0.5), detector, threshold, tree, 1, tail_tol, i_max)
+    strategies, candidates = [threshold, *_cutoffs(template, j_max)], _unit_candidates(template, n_candidates)
+    pieces = search_blocks(1, len(vrs), len(strategies) * len(candidates))
+    chunks = [(template, vd, vrs[piece], strategies, candidates) for vd in vds for _, piece in pieces]
+    ends = [0, *accumulate(len(chunk[2]) for chunk in chunks)]
 
     def report(done: int, _: int) -> None:  # once per cell, as its chunk finishes
         for cell in range(ends[done - 1] + 1, ends[done] + 1):

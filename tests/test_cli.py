@@ -481,7 +481,7 @@ class TestTableCommand:
         ids=["grid", "curves"],
     )
     def test_grid_and_curves_byte_identical_reruns(self, sweep, tmp_path, capsys):
-        # at two workers the grid runs its per-V_D tasks and the curves their per-N tasks in the process pool
+        # at two workers the curves run their per-N tasks in the process pool; the grid is one lane search, one task
         config = MINIMAL + "\n[optimizer]\nn_candidates = 1,2,4\n\n[sweep]\n" + sweep + "\n"
         path = write_config(tmp_path, config)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -576,12 +576,82 @@ class TestPerUnitTransmissions:
         assert built == []
 
     def test_router_row_builds_none(self, built):
-        cli._router_row((parse_config(PRESETS["ssm-spd"], command="table"), 0.9))
+        spec = parse_config(PRESETS["ssm-spd"], command="table")
+        cli._router_cells((spec, (0.9,), spec.sweep.vr_values))
         assert built == []
 
     def test_binary_delay_row_builds_its_lanes_with_more_than_one_unit(self, built):
-        cli._scenario_cell((parse_config(PRESETS["btm"], command="table"), 0.9, PairKind.POISSONIAN))
+        cli._scenario_cells((parse_config(PRESETS["btm"], command="table"), PairKind.POISSONIAN, (0.9,)))
         assert set(built) == {2**k for k in range(1, 11)}
+
+
+THREE_UNITS = _optimizer("n_candidates = 1,2,4") + "\n[sweep]\nvd_values = 0.8,0.9,0.95\n"
+TWO_KINDS = TIME_LOOP + "\n[sweep]\nvd_values = 0.6,0.98\nn_values = 10,20\nstrategies = threshold,spd\npair_kinds = poissonian,thermal\n"
+
+
+class TestTableSearches:
+    """A router-grid or scenario table is cut into lane searches under one lane budget."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        lanes, search = [], optimize.maximize_over_lambda
+
+        def spy(*args):
+            lanes.append(len(args[1]))
+            return search(*args)
+
+        monkeypatch.setattr(optimize, "maximize_over_lambda", spy)
+        monkeypatch.setattr(cli, "maximize_over_lambda", spy)
+        return lanes
+
+    @pytest.mark.parametrize("preset", ["ssm-spd", "ssm-threshold", "btm", "loop-latest", "loop-latest-thermal"])
+    def test_shipped_table_is_one_search(self, preset, searches, tmp_path, capsys):
+        # one search is one task, so two workers start no pool: a search in a pool worker would not show here
+        status, _, _ = run_cli(["table", "--preset", preset, "--workers", "2", "--out", str(tmp_path / "t.csv")], capsys)
+        assert status == 0
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize(
+        "text, shipped, budget, lanes",
+        [
+            (THREE_UNITS + "vr_values = 0.9,0.95,0.97,0.99\n", [36], 24, [24, 12]),  # 3 x 4 cells of 3 lanes
+            (THREE_UNITS + "vr_values = 0.9,0.95,0.97,0.99\n", [36], 9, [9, 3] * 3),
+            (THREE_UNITS + "vr_values = 0.9,0.95,0.97,0.99\n", [36], 2, [3] * 12),
+            (THREE_UNITS + "strategies = threshold,spd\n", [18], 12, [12, 6]),  # 3 V_D values of 6 lanes
+            (TWO_KINDS, [8, 8], 4, [4] * 4),  # 2 V_D values of 4 lanes per pair kind, one search per kind at least
+        ],
+        ids=["grid-two-rows", "grid-row-pieces", "grid-cells", "scenario", "two-kinds"],
+    )
+    def test_table_larger_than_the_budget_is_cut_into_searches_within_it(
+        self, text, shipped, budget, lanes, searches, tmp_path, capsys
+    ):
+        path = write_config(tmp_path, text)
+        status, whole, _ = run_cli(["table", "--config", path, "--workers", "1"], capsys)
+        assert status == 0 and searches == shipped
+        searches.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "SEARCH_LANES", budget)
+            status, cut, _ = run_cli(["table", "--config", path, "--workers", "1"], capsys)
+        assert status == 0
+        assert searches == lanes  # whole cells (a cell at least) per search, never more lanes than the budget allows
+        assert cut == whole
+
+    def test_two_pair_kinds_go_row_by_row_in_v_d_order(self, tmp_path, capsys):
+        status, out, _ = run_cli(["table", "--config", write_config(tmp_path, TWO_KINDS), "--workers", "1"], capsys)
+        assert status == 0
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "V_D,"))]
+        assert [row[:4] for row in rows] == [
+            [vd, kind, strategy, units]
+            for vd in ("0.6", "0.98")
+            for kind in ("poissonian", "thermal")
+            for strategy in ("threshold", "spd")
+            for units in ("10", "20")
+        ]
+        for kind in ("poissonian", "thermal"):  # each kind's rows are the rows of its own table
+            one = TWO_KINDS.replace("pair_kinds = poissonian,thermal", f"pair_kinds = {kind}")
+            status, alone, _ = run_cli(["table", "--config", write_config(tmp_path, one), "--workers", "1"], capsys)
+            assert status == 0
+            assert [row for row in rows if row[1] == kind] == [line.split(",") for line in alone.splitlines()[4:]]
 
 
 class TestMapCommand:
@@ -656,6 +726,13 @@ def test_table_run_leaves_numpy_ma_unimported(tmp_path):
     # a plain np.unique imports numpy.ma, 16-25 ms that every process and pool worker would pay
     code = "import sys; from muxsps.cli import main; status = main(sys.argv[1:]); print(status, 'numpy.ma' in sys.modules)"
     proc = _run_python(code, "table", "--preset", "ssm-spd", "--workers", "1", "--out", str(tmp_path / "table.csv"))
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_shipped_scenario_table_with_two_workers_leaves_multiprocessing_unimported(tmp_path):
+    # btm's table is one lane search, so one task: two workers start no process pool
+    code = "import sys; from muxsps.cli import main; status = main(sys.argv[1:]); print(status, 'multiprocessing' in sys.modules)"
+    proc = _run_python(code, "table", "--preset", "btm", "--workers", "2", "--out", str(tmp_path / "btm.csv"))
     assert proc.stdout == "0 False\n", proc.stderr
 
 

@@ -433,6 +433,47 @@ class TestInvariants:
         with pytest.raises(ValueError):
             profile_lanes(cfg, [1, 1], muxes=muxes[:1], max_mean=1.0)  # one multiplexer for two lanes
 
+    @given(
+        efficiencies=st.lists(st.floats(0.3, 1.0), min_size=2, max_size=3, unique=True),
+        kind=st.sampled_from(list(PairKind)),
+        cutoff=st.integers(1, 4),
+        mux=st.sampled_from(
+            [MultiplexerModel.symmetric_spatial(0.93), MultiplexerModel.binary_bulk_time(0.97, 0.99, 0.95, 0.95)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # two lanes of one width alone, four together: BLAS sums a partial tile of rows with other kernels
+        efficiencies=[1.0, 0.5],
+        kind=PairKind.POISSONIAN,
+        cutoff=1,
+        mux=MultiplexerModel.binary_bulk_time(0.97, 0.99, 0.95, 0.95),
+        seed=0,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_detector_lanes_equal_separate_calls(self, efficiencies, kind, cutoff, mux, seed):
+        # the same lanes with several detectors in one call: each lane keeps its own herald weights, bit for bit;
+        # the btm lanes with more than one unit each have many transmissions
+        cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.8), HeraldingStrategy.threshold(), mux, 1)
+        strategies, units = zip(*[(s, n) for s in (cfg.strategy, HeraldingStrategy.up_to(cutoff)) for n in (1, 2, 8, 32)])
+        detectors = [DetectorModel(eff) for eff in efficiencies]
+        copies = len(detectors)  # lane k of the mixed call is lane k // copies behind detector k % copies
+        lanes = profile_lanes(
+            cfg, np.repeat(units, copies), np.repeat(strategies, copies), None, detectors * len(units), max_mean=12.0
+        )
+        shared = np.array([0.0, 0.01, 0.4, 1.3, 3.9, 12.0])
+        per_lane = np.random.default_rng(seed).uniform(0.0, 12.0, (len(units) * copies, 4))
+        for means in (shared, per_lane):
+            together = p1_profile(cfg, means, lanes, photons=range(3))
+            for d, detector in enumerate(detectors):
+                alone = replace(cfg, detector=detector)
+                own = means if means.ndim == 1 else means[d::copies]
+                expected = p1_profile(alone, own, profile_lanes(alone, units, strategies, max_mean=12.0), photons=range(3))
+                assert together[:, d::copies].tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            profile_lanes(cfg, [1, 1], detectors=detectors[:1], max_mean=1.0)  # one detector for two lanes
+        with pytest.raises(ValueError):  # a cutoff beyond one lane's detector resolution
+            profile_lanes(cfg, [1, 1], [HeraldingStrategy.up_to(3)] * 2, None, [detectors[0], DetectorModel(0.9, 2)], max_mean=1.0)
+
     @given(lanes=random_lanes())
     @settings(max_examples=40, deadline=None)
     def test_per_lane_series_match_one_series_length(self, lanes):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxsps import engine, optimize
 from muxsps.engine import SourceConfig, output_distribution
@@ -156,13 +158,38 @@ class TestOptimizeStrategies:
             assert result.lambda_opt[g] == pytest.approx(alone.lambda_opt[0], abs=LAMBDA_TOL)
 
 
+class TestDetectorGroups:
+    @given(
+        efficiencies=st.lists(st.floats(0.3, 1.0), min_size=2, max_size=3, unique=True),
+        kind=st.sampled_from(list(PairKind)),
+        cutoff=st.integers(1, 4),
+        muxes=st.sampled_from(
+            [
+                (MultiplexerModel.symmetric_spatial(0.93), MultiplexerModel.symmetric_spatial(0.97)),
+                (MultiplexerModel.binary_bulk_time(0.97, 0.99, 0.95, 0.95), MultiplexerModel.binary_bulk_time(0.9, 0.97, 0.98)),
+            ]
+        ),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_detector_groups_equal_one_detector_searches(self, efficiencies, kind, cutoff, muxes):
+        # groups come in (detector, multiplexer, strategy) order, each what its detector's own search gives, bit for bit
+        cfg = SourceConfig(PairDistribution(kind, 0.5), DetectorModel(0.8), HeraldingStrategy.threshold(), muxes[0], 1)
+        strategies, candidates = [cfg.strategy, HeraldingStrategy.up_to(cutoff)], [1, 2, 8, 32]
+        detectors = [DetectorModel(eff) for eff in efficiencies]
+        together = optimize_strategies(cfg, strategies, candidates, muxes, detectors)
+        alone = [optimize_strategies(replace(cfg, detector=detector), strategies, candidates, muxes) for detector in detectors]
+        assert together.units.tolist() == candidates
+        for name in ("lambdas", "p1s", "n_opt", "lambda_opt", "p1_max"):
+            assert getattr(together, name).tobytes() == np.concatenate([getattr(one, name) for one in alone]).tobytes()
+
+
 class TestCutoffScan:
     def test_exact_ties_go_to_fewer_units_and_the_smaller_cutoff(self, monkeypatch):
         # lanes in (threshold, cutoff 1, 2, 3) x candidates (1, 2, 4) order, with exact P_1 ties
         # within a group and between cutoffs 2 and 3; each lane's pump mean is its lane index
         p1 = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.6], [0.5, 0.8, 0.8], [0.8, 0.1, 0.8]])
 
-        def fixed_search(cfg_template, units, strategies=None, muxes=None):
+        def fixed_search(cfg_template, units, strategies=None, muxes=None, detectors=None):
             assert len(units) == p1.size
             return np.arange(p1.size, dtype=float), p1.ravel()
 
@@ -274,8 +301,10 @@ class TestComparisonMap:
     def test_chunked_map_equals_per_cell_searches(self, monkeypatch):
         # a V_r axis longer than one chunk, so one V_D row spans two lane searches
         vd, vrs, candidates = 0.85, np.round(np.linspace(0.7, 1.0, 13), 3), [1, 2, 4, 8]
-        assert vrs.size > optimize.MAP_CHUNK_CELLS
         strategies = [HeraldingStrategy.threshold(), HeraldingStrategy.up_to(1), HeraldingStrategy.up_to(2)]
+        monkeypatch.setattr(optimize, "SEARCH_LANES", 12 * len(strategies) * len(candidates))  # 12 cells a chunk
+        searches, search = [], optimize.maximize_over_lambda
+        monkeypatch.setattr(optimize, "maximize_over_lambda", lambda *args: searches.append(len(args[1])) or search(*args))
 
         def alone(vr):
             template = replace(tree_template(vd, vr, HeraldingStrategy.threshold()), tail_tol=1e-12)
@@ -294,6 +323,8 @@ class TestComparisonMap:
         done = []
         chunked = cells(1, lambda k, total: done.append((k, total)))
         assert done == [(k, vrs.size) for k in range(1, vrs.size + 1)]  # once per cell, in grid order
+        # the map's two searches come first, before the per-cell searches that name its fields
+        assert searches[:3] == [12 * len(strategies) * len(candidates), len(strategies) * len(candidates), 12]
         assert cells(2) == chunked
         # each lane is summed over its own series, so a chunk's lanes get the per-cell values bit for bit
         assert chunked == [alone(vr) for vr in vrs]
