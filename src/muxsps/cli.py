@@ -290,17 +290,20 @@ def _cmd_table(spec: RunSpec) -> int:
         header, fn = ["V_D", "V_r", "N_opt", "P_1_max", "lambda_opt"], _router_cells
         vds, vrs, lanes = sweep.vd_values, sweep.vr_values, len(_unit_candidates(cfg, spec.n_candidates))
         tasks = [(spec, vds[rows], vrs[cols]) for rows, cols in search_blocks(len(vds), len(vrs), lanes)]
+        sizes = [len(task[1]) * len(task[2]) for task in tasks]
     elif sweep.lambda_values:
         header, fn = ["N", "lambda", "P_1"], _curve_rows
         tasks = [(spec, units) for units in sweep.n_values or (cfg.units,)]
+        sizes = [1] * len(tasks)
     elif sweep.vd_values:
         header, fn = ["V_D", "pair_kind", "strategy", "N_opt", "P_1_max", "lambda_opt"], _scenario_cells
         kinds, vds = sweep.pair_kinds or (cfg.dist.kind,), sweep.vd_values
         lanes = len(sweep.strategies or (None,)) * len(sweep.n_values or _unit_candidates(cfg, spec.n_candidates))
         tasks = [(spec, kind, vds[cols]) for kind in kinds for _, cols in search_blocks(1, len(vds), lanes)]
+        sizes = [len(task[2]) for task in tasks]
     else:
         raise ConfigError("sweep", "table needs vd_values (+ vr_values / n_values) or lambda_values")
-    cells = [cell for cells in run_tasks(fn, tasks, spec.workers, _progress("table", len(tasks))) for cell in cells]
+    cells = [cell for cells in run_tasks(fn, tasks, spec.workers, _progress("table", sum(sizes)), sizes) for cell in cells]
     per_kind = len(cells) // len(kinds)
     _emit(spec, header, [row for k in range(per_kind) for cell in cells[k::per_kind] for row in cell], _meta(spec))
     return EXIT_OK

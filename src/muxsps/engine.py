@@ -117,10 +117,18 @@ def output_distribution(cfg: SourceConfig) -> OutputDistribution:
 # lengths; 66 terms serve a mean of 20 at 1024 units
 _WIDTH = 33
 # BLAS sums the rows of a partial tile of a matrix product with other
-# kernels, which round differently; a product of several lane rows repeats
-# rows to whole tiles of this many, a multiple of common tile heights, so a
-# lane's values do not depend on how many lanes share its width
+# kernels, and picks kernels by the product's size, which round
+# differently; several lane rows go in blocks of this many (a multiple of
+# common row tile heights), repeating rows to fill the last, so every product
+# of a width has one shape and a lane's values do not depend on how many
+# lanes share its width.  Small enough that a block stays below OpenBLAS's
+# threading threshold: threaded blocks in two worker processes swamp two cores
 _TILE = 16
+# lane rows (whole blocks) that a block product or the priority factor
+# takes at a time: a call's temporaries stay small next to its result, so
+# the allocator reuses their memory instead of returning it and faulting it
+# back in each call
+_PIECE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +235,13 @@ def profile_lanes(
     units = np.asarray(units, dtype=int)
     strategies = (cfg.strategy,) * units.size if strategies is None else tuple(strategies)
     muxes = (cfg.mux,) * units.size if muxes is None else tuple(muxes)
-    lengths = {len(strategies), len(muxes), units.size if detectors is None else len(detectors)}
-    if units.ndim != 1 or units.size == 0 or lengths != {units.size}:
+    detectors = (cfg.detector,) * units.size if detectors is None else tuple(detectors)
+    if units.ndim != 1 or units.size == 0 or {len(strategies), len(muxes), len(detectors)} != {units.size}:
         raise ValueError("need a non-empty 1-d sequence of unit counts and one strategy, multiplexer and detector per lane")
-    distinct, row = _distinct(strategies)
-    pairs = [(strategy, cfg.detector) for strategy in distinct]
-    if detectors is not None:  # a row per (detector, strategy) index pair that some lane uses
-        found, det = _distinct(detectors)
-        keys, row = np.unique(det * len(distinct) + row, return_inverse=True)
-        pairs = [(distinct[k % len(distinct)], found[k // len(distinct)]) for k in keys.tolist()]
+    # a herald-weight row per (detector, strategy) index pair that some lane uses
+    (distinct, strategy_at), (found, detector_at) = _distinct(strategies), _distinct(detectors)
+    keys, row = np.unique(detector_at * len(distinct) + strategy_at, return_inverse=True)
+    pairs = [(distinct[k % len(distinct)], found[k // len(distinct)]) for k in keys.tolist()]
     for strategy, detector in pairs:
         strategy.validate_for(detector)
     length = _series_length(cfg.dist.kind, cfg.tail_tol, float(max_mean), int(units.max()))
@@ -264,7 +270,7 @@ def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at:
     # closed-form priority sum of (1 - p)**(n-1) over n = 1..units; the clip
     # keeps it finite at p = 0 (limit: units) and at p = 1
     q = np.minimum(np.maximum(p, _TINY), _BELOW_ONE)
-    row, n, lane = at, units, slice(None)
+    row, n, lane = at, units, None
     if len(q) < len(at):  # with return_inverse, np.unique does not import numpy.ma
         key, lane = np.unique(units * len(q) + at, return_inverse=True)
         n, row = np.divmod(key, len(q))
@@ -272,9 +278,10 @@ def _priority_sum(wanted: tuple[int, ...], units: np.ndarray, p: np.ndarray, at:
     geometric *= n[:, None]
     np.negative(np.expm1(geometric, out=geometric), out=geometric)
     geometric /= q[row]
-    geometric = geometric[lane]
+    for start in range(0, len(at), _PIECE):
+        piece = slice(start, start + _PIECE)
+        sums[:, piece] *= geometric[piece if lane is None else lane[piece]]
     for k, i in enumerate(wanted):
-        sums[k] *= geometric
         if i == 0:  # no unit heralds
             sums[k] += np.maximum(1.0 - p, 0.0)[at] ** units[:, None]
 
@@ -303,15 +310,17 @@ def p1_profile(
     transmission (per unit of the lane's per-unit vector if its units do not
     share one), and the priority sum in closed geometric form for a lane
     whose units all share one transmission.  With means shared by every
-    lane, such lanes of one width make one matrix product of their survivor
-    rows against the pair pmf, and the priority factor is computed once per
-    (herald-weight row, unit count).  P_0 also holds the no-herald term
-    miss**units, and photon numbers beyond the series are 0.  Each lane sums
-    its own series, ``width`` terms for means up to its ``bound`` (see
+    lane, such lanes of one width multiply their survivor rows against the
+    pair pmf in blocks of ``_TILE`` rows, one product shape per width, and
+    the priority factor is computed once per (herald-weight row, unit
+    count).  P_0 also holds the no-herald term miss**units, and photon
+    numbers beyond the series are 0.  Each lane sums its own series,
+    ``width`` terms for means up to its ``bound`` (see
     ``ProfileLanes.with_series``), so its values do not depend on the other
-    lanes of the call; only a width's one lane on a shared grid is a
-    matrix-vector product, which can round differently.  Means must be
-    non-negative.
+    lanes of the call, given BLAS kernels whose row tile divides ``_TILE``
+    and whose dot products do not depend on alignment; only a width's one
+    lane on a shared grid is a matrix-vector product, which can round
+    differently.  Means must be non-negative.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim not in (1, 2) or means.size == 0 or not means.min() >= 0.0:  # NaN fails too
@@ -338,13 +347,16 @@ def p1_profile(
             sel = np.flatnonzero(widths == w)
             pick, row, start = same[sel], lanes.row[same[sel]], sum(map(len, herald))
             pair = pmf_array(cfg.dist.kind, means if shared else means[pick], w - 1)
-            if shared:  # herald probabilities per herald-weight row, and one matrix product of the lanes' survivor rows
+            if shared:  # herald probabilities per herald-weight row, and block products of the lanes' survivor rows
                 herald.append((pair @ lanes.weights[:, :w, None])[..., 0])
                 at[sel] = start + row
-                tiles = np.resize(np.arange(sel.size), -(-sel.size // _TILE) * _TILE if sel.size > 1 else 1)
+                blocks = (-(-sel.size // _TILE), _TILE) if sel.size > 1 else (1, 1)
+                tiles = np.resize(np.arange(sel.size), blocks)
                 for k, i in enumerate(wanted):
-                    product = table[k, row[tiles], lanes.tx[pick[tiles]], : max(w - i, 0)] @ pair[:, i:].T
-                    sums[k, sel] = product[: sel.size]
+                    for first in range(0, sel.size, _PIECE):
+                        part = tiles[first // _TILE : (first + _PIECE) // _TILE]
+                        product = table[k, row[part], lanes.tx[pick[part]], : max(w - i, 0)] @ pair[:, i:].T
+                        sums[k, sel[first : first + _PIECE]] = product.reshape(-1, means.size)[: sel.size - first]
             else:  # two row dots per lane
                 herald.append(np.vecdot(pair, lanes.weights[row, None, :w]))
                 at[sel] = start + np.arange(sel.size)

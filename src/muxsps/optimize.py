@@ -195,9 +195,9 @@ def optimize_strategies(
     """
     candidates = np.array(_unit_candidates(cfg_template, n_candidates))
     muxes = (cfg_template.mux,) if muxes is None else muxes
-    lanes = [(mux, strategy, n) for mux in muxes for strategy in strategies for n in candidates.tolist()]
-    mux_of, strategy_of, units = (x * (1 if detectors is None else len(detectors)) for x in zip(*lanes))
-    detector_of = None if detectors is None else [detector for detector in detectors for _ in lanes]
+    detectors = (cfg_template.detector,) if detectors is None else detectors
+    lanes = [(d, mux, s, n) for d in detectors for mux in muxes for s in strategies for n in candidates.tolist()]
+    detector_of, mux_of, strategy_of, units = zip(*lanes)
     search = maximize_over_lambda(cfg_template, units, strategy_of, mux_of, detector_of)
     lambdas, p1s = (x.reshape(-1, candidates.size) for x in search)
     best = np.argmax(p1s, axis=1)  # the first maximum: ties go to fewer units
@@ -226,15 +226,18 @@ def run_tasks(
     tasks: Sequence,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
+    cells: Sequence[int] | None = None,
 ) -> list:
     """``[fn(task) for task in tasks]``, in worker processes when workers > 1.
 
     Results keep the task order, so they do not depend on the worker count;
-    ``fn`` and the tasks must pickle.  ``progress(done, total)`` is called
-    after each finished task.
+    ``fn`` and the tasks must pickle.  ``progress(done, total)`` counts
+    cells: it is called once per cell of each finished task, task k holding
+    ``cells[k]`` cells (default one).
     """
     if workers is not None and workers < 1:
         raise ParameterError("workers", f"must be >= 1, got {workers}")
+    ends = list(accumulate([1] * len(tasks) if cells is None else cells, initial=0))
     results: list = []
     with ExitStack() as stack:
         outputs: Iterable = map(fn, tasks)
@@ -246,7 +249,8 @@ def run_tasks(
         for output in outputs:
             results.append(output)
             if progress is not None:
-                progress(len(results), len(tasks))
+                for done in range(ends[len(results) - 1] + 1, ends[len(results)] + 1):
+                    progress(done, ends[-1])
     return results
 
 
@@ -309,13 +313,7 @@ def comparison_map(
     strategies, candidates = [threshold, *_cutoffs(template, j_max)], _unit_candidates(template, n_candidates)
     pieces = search_blocks(1, len(vrs), len(strategies) * len(candidates))
     chunks = [(template, vd, vrs[piece], strategies, candidates) for vd in vds for _, piece in pieces]
-    ends = [0, *accumulate(len(chunk[2]) for chunk in chunks)]
-
-    def report(done: int, _: int) -> None:  # once per cell, as its chunk finishes
-        for cell in range(ends[done - 1] + 1, ends[done] + 1):
-            progress(cell, ends[-1])
-
-    chunked = run_tasks(_map_chunk, chunks, workers, None if progress is None else report)
+    chunked = run_tasks(_map_chunk, chunks, workers, progress, [len(chunk[2]) for chunk in chunks])
     shape = (axis_vd.size, axis_vr.size)
     fields = {name: np.concatenate([chunk[name] for chunk in chunked]).reshape(shape) for name in chunked[0]}
     return ComparisonMap(axis_vd=axis_vd, axis_vr=axis_vr, **fields)

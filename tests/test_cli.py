@@ -636,6 +636,17 @@ class TestTableSearches:
         assert searches == lanes  # whole cells (a cell at least) per search, never more lanes than the budget allows
         assert cut == whole
 
+    def test_progress_counts_cells_not_searches(self, tmp_path, capsys):
+        # 3 x 34 router-grid cells in one search, or in 34 of 3 cells: the same report, every second cell
+        path = write_config(tmp_path, THREE_UNITS + "vr_values = " + ",".join(f"{0.6 + 0.01 * k:.2f}" for k in range(34)) + "\n")
+        expected = [f"table: {done}/102 cells" for done in range(2, 103, 2)]
+        status, _, err = run_cli(["table", "--config", path, "--workers", "1", "--out", str(tmp_path / "t.csv")], capsys)
+        assert status == 0 and err.splitlines() == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "SEARCH_LANES", 9)
+            status, _, err = run_cli(["table", "--config", path, "--workers", "1", "--out", str(tmp_path / "t.csv")], capsys)
+        assert status == 0 and err.splitlines() == expected
+
     def test_two_pair_kinds_go_row_by_row_in_v_d_order(self, tmp_path, capsys):
         status, out, _ = run_cli(["table", "--config", write_config(tmp_path, TWO_KINDS), "--workers", "1"], capsys)
         assert status == 0
